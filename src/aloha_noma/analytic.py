@@ -5,11 +5,12 @@ Packet arrivals form a Poisson process with normalized offered load G
 simultaneous signals turns every arrival with at most N - 1 neighbours in
 its 2T vulnerable window into a success, giving the normalized throughput
 
-    S(G, N) = (e^{-2G} / 2) * sum_{i=1..N} (2G)^i / (i-1)!
+    S(G, N) = (e^{-2G} / 2) * sum_{i=1..N} (2G)^i / (i-1)! = G * Q(N, 2G)
 
-which reduces to the classic G * e^{-2G} for N = 1.  Series terms are
-accumulated in the log domain so that large N and large G (e.g. N = 100,
-G = 60) stay inside float range.
+where Q(N, x) = P[Poisson(x) <= N - 1] is the regularized upper incomplete
+gamma function (``scipy.special.gammaincc``, DLMF 8.2).  N = 1 gives the
+classic G * e^{-2G}.  Q stays inside float range for large N and G
+(e.g. N = 100, G = 60).
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
+from scipy.special import gammaincc, xlogy
 
 __all__ = [
     "BracketingError",
@@ -30,9 +34,6 @@ __all__ = [
     "throughput_curve",
     "throughput_derivative",
 ]
-
-_LOG2 = math.log(2.0)
-
 
 class BracketingError(RuntimeError):
     """The derivative has no unique sign change on the scanned load range."""
@@ -90,13 +91,6 @@ def _validate_degree(n: int) -> int:
     return n
 
 
-def _logsumexp(values: Sequence[float]) -> float:
-    m = max(values)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in values))
-
-
 def poisson_arrival_pmf(i: int, two_g: float) -> float:
     """Probability of exactly ``i`` arrivals in a window with mean ``two_g``.
 
@@ -114,56 +108,31 @@ def poisson_arrival_pmf(i: int, two_g: float) -> float:
         raise ValueError(f"window mean must be finite, got {two_g!r}")
     if two_g < 0.0:
         raise ValueError(f"window mean must be >= 0, got {two_g!r}")
-    if two_g == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if i == 0:
-        return math.exp(-two_g)
-    return math.exp(i * math.log(two_g) - two_g - math.lgamma(i + 1))
+    # xlogy(0, 0) = 0 gives pmf(0; 0) = 1
+    return math.exp(float(xlogy(i, two_g)) - two_g - math.lgamma(i + 1))
 
 
 def throughput(offered_load: float, degree: int) -> float:
-    """Normalized throughput S(G, N); exactly 0 at G = 0."""
+    """Normalized throughput S(G, N) = G * Q(N, 2G); exactly 0 at G = 0."""
     g = _validate_load(offered_load)
     n = _validate_degree(degree)
-    if g == 0.0:
-        return 0.0
-    log_2g = _LOG2 + math.log(g)
-    log_terms = [i * log_2g - math.lgamma(i) for i in range(1, n + 1)]
-    return math.exp(_logsumexp(log_terms) - 2.0 * g - _LOG2)
+    return g * float(gammaincc(n, 2.0 * g))
 
 
 def throughput_derivative(offered_load: float, degree: int) -> float:
-    """Closed-form dS/dG.
+    """Closed-form dS/dG = (1 - 2G) * Q(N, 2G) + 2G * Q(N - 1, 2G).
 
-    Written as (e^{-2G} / 2) * sum_i 2^i G^{i-1} (i - 2G) / (i-1)!; the
-    positive and negative parts of the sum are accumulated separately in
-    the log domain and recombined, so the sign near the root is decided by
-    one well-conditioned subtraction.
+    This is Q(N, 2G) - 2G * pmf(N - 1; 2G) with the pmf written as
+    Q(N, 2G) - Q(N - 1, 2G), and Q(0, x) = 0 for x > 0.  The two-Q form
+    is exactly 0 at the pure-ALOHA optimum (G, N) = (0.5, 1).
     """
     g = _validate_load(offered_load)
     n = _validate_degree(degree)
     if g == 0.0:
-        # only the i = 1 term is nonzero at the origin: 2 * (1 - 2G) / 2
+        # Q(0, 0) is undefined; the slope at the origin is Q(N, 0) = 1
         return 1.0
-    log_g = math.log(g)
-    pos: list[float] = []
-    neg: list[float] = []
-    for i in range(1, n + 1):
-        gap = i - 2.0 * g
-        if gap == 0.0:
-            continue
-        log_w = i * _LOG2 + (i - 1) * log_g - math.lgamma(i) + math.log(abs(gap))
-        (pos if gap > 0.0 else neg).append(log_w)
-    log_pos = _logsumexp(pos) if pos else -math.inf
-    log_neg = _logsumexp(neg) if neg else -math.inf
-    if log_pos == log_neg:
-        return 0.0
-    if log_pos > log_neg:
-        sign, hi, lo = 1.0, log_pos, log_neg
-    else:
-        sign, hi, lo = -1.0, log_neg, log_pos
-    magnitude = hi if lo == -math.inf else hi + math.log1p(-math.exp(lo - hi))
-    return sign * math.exp(magnitude - 2.0 * g - _LOG2)
+    two_g = 2.0 * g
+    return float((1.0 - two_g) * gammaincc(n, two_g) + two_g * gammaincc(n - 1, two_g))
 
 
 def _scan_for_bracket(
@@ -247,5 +216,7 @@ def throughput_curve(degree: int, g_grid: Sequence[float]) -> ThroughputCurve:
     for prev, cur in zip(loads, loads[1:]):
         if cur <= prev:
             raise ValueError("offered-load grid must be strictly increasing")
-    points = tuple(ThroughputPoint(g, throughput(g, n)) for g in loads)
+    grid = np.asarray(loads)
+    s_values = (grid * gammaincc(n, 2.0 * grid)).tolist()
+    points = tuple(ThroughputPoint(g, s) for g, s in zip(loads, s_values))
     return ThroughputCurve(degree=n, points=points)

@@ -41,6 +41,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _check_out_path(out: Path) -> None:
+    if out.is_dir():
+        raise ConfigError(f"out: {out} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"out: directory {out.parent} does not exist")
+
+
+def _check_append(path: Path, header: str) -> None:
+    """Refuse to append rows under an existing file's different header."""
+    if not (path.exists() and path.stat().st_size > 0):
+        return
+    with path.open(encoding="utf-8", errors="replace") as fh:
+        found = next((ln.rstrip("\r\n") for ln in fh if not ln.startswith("#")), None)
+    if found != header:
+        raise ConfigError(
+            f"out: {path} has header {found!r}, not {header!r}; refusing to append"
+        )
+
+
 def _write_csv(path: Path, header: str, rows: list[str], timestamp: bool, append: bool) -> None:
     lines: list[str] = []
     exists = append and path.exists() and path.stat().st_size > 0
@@ -205,6 +224,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     seeds = _seeds(args, _get(cfg, "seed", int, default=0))
     configs = [_sim_config_from_file(cfg, seed) for seed in seeds]
+    out = Path(args.out)
+    _check_append(out, SIMULATE_HEADER)
 
     rows = []
     records = []
@@ -227,7 +248,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "degenerate": stats.degenerate,
             }
         )
-    out = Path(args.out)
     _write_csv(out, SIMULATE_HEADER, rows, timestamp=not args.no_timestamp, append=True)
 
     summary: dict[str, Any] = {
@@ -316,6 +336,8 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
         _frame_session_inputs(cfg)
     )
     seeds = _seeds(args, _get(cfg, "seed", int, default=0))
+    out = Path(args.out)
+    _check_append(out, FRAME_SESSION_HEADER)
 
     rows = []
     records = []
@@ -346,7 +368,6 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
                 "mean_effective_throughput": stats.mean_effective_throughput,
             }
         )
-    out = Path(args.out)
     _write_csv(out, FRAME_SESSION_HEADER, rows, timestamp=not args.no_timestamp, append=True)
     if schedule.overhead >= schedule.payload:
         print(
@@ -485,6 +506,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     func: Callable[[argparse.Namespace], int] = args.func
     try:
+        _check_out_path(Path(args.out))
         return func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,8 +53,9 @@ class FrameSchedule:
 
     def __post_init__(self) -> None:
         for name in PHASES:
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name}: phase duration must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name}: phase duration must be finite and > 0, got {value!r}")
         if self.overhead >= self.payload:
             warnings.warn(
                 "frame overhead is not shorter than the payload phase; "

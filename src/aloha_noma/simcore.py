@@ -106,6 +106,12 @@ class SimConfig:
             raise ValueError(
                 f"offered_load_g: must be finite and >= 0, got {self.offered_load_g!r}"
             )
+        for name in (
+            "packet_duration", "horizon", "warmup", "base_power_dbm", "shadowing_sigma_db"
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite, got {value!r}")
         if not (self.packet_duration > 0.0):
             raise ValueError(f"packet_duration: must be > 0, got {self.packet_duration!r}")
         if self.warmup < 0.0:

@@ -221,6 +221,25 @@ class TestMaxThroughput:
             _scan_for_bracket(lambda g: math.sin(g), 0.01, 20.0)
 
 
+class TestLargeDegree:
+    @pytest.mark.parametrize("n", [1000, 3000, 10000])
+    def test_optimum_where_the_tail_underflows(self, n):
+        res = max_throughput(n)
+        assert throughput_derivative(res.g_star - 1e-3, n) > 0.0
+        assert throughput_derivative(res.g_star + 1e-3, n) < 0.0
+        assert abs(res.derivative_residual) <= 1e-9
+        # the truncated Poisson sum of the series form, not the incomplete gamma
+        two_g = 2.0 * res.g_star
+        series = res.g_star * math.fsum(poisson_arrival_pmf(i, two_g) for i in range(n))
+        assert res.s_max == pytest.approx(series, rel=1e-10, abs=0.0)
+
+    def test_curve_equals_scalar_throughput_bitwise(self):
+        for n in (1, 5, 200, 3000):
+            grid = np.linspace(0.0, 1.5 * n, 257).tolist()
+            curve = throughput_curve(n, grid)
+            assert [p.s for p in curve.points] == [throughput(g, n) for g in grid]
+
+
 class TestThroughputCurve:
     def test_single_zero_point(self):
         curve = throughput_curve(1, [0.0])

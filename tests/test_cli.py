@@ -149,6 +149,25 @@ class TestSimulate:
         assert "offered_load_g" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("horizon_s", math.inf, "horizon"),
+            ("warmup_s", math.nan, "warmup"),
+            ("packet_duration_s", math.inf, "packet_duration"),
+            ("base_power_dbm", math.inf, "base_power_dbm"),
+            ("shadowing_sigma_db", math.inf, "shadowing_sigma_db"),
+        ],
+    )
+    def test_non_finite_field_is_rejected(self, capsys, tmp_path, key, value, field):
+        bad = dict(SIM_CONFIG, sic={"degree": 2, "mode": "power_aware"}, **{key: value})
+        cfg = write_config(tmp_path, "bad.json", bad)
+        out = tmp_path / "sim.csv"
+        code, _, err = run_cli(capsys, "simulate", cfg, "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: {field}: must be finite")
+        assert not out.exists()
+
     def test_missing_field_diagnostic(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"offered_load_g": 0.5})
         code, _, err = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "x.csv"))
@@ -177,6 +196,18 @@ class TestSimulate:
         assert text.count(cli.SIMULATE_HEADER) == 1
         _, rows = read_csv(out)
         assert len(rows) == 2
+
+    def test_refuses_append_under_foreign_header(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "sim.json", dict(SIM_CONFIG, horizon_s=2000.0))
+        out = tmp_path / "f.csv"
+        assert run_cli(capsys, "analytic-max", "2", "--out", str(out))[0] == 0
+        before = out.read_bytes()
+        code, _, err = run_cli(capsys, "simulate", cfg, "--out", str(out), "--no-timestamp")
+        assert code == 2
+        assert err.startswith("error:")
+        assert str(out) in err
+        assert "seed=" not in err
+        assert out.read_bytes() == before
 
 
 class TestFrameSession:
@@ -228,6 +259,31 @@ class TestFrameSession:
         assert record["mean_effective_throughput"] <= 0.5 * max(
             record["mean_raw_throughput"], 1e-12
         )
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [("payload_s", math.inf, "payload"), ("beacon_s", math.inf, "beacon")],
+    )
+    def test_non_finite_phase_is_rejected(self, capsys, tmp_path, key, value, field):
+        bad = dict(SESSION_CONFIG, schedule={key: value})
+        cfg = write_config(tmp_path, "bad.json", bad)
+        out = tmp_path / "sess.csv"
+        code, _, err = run_cli(capsys, "frame-session", cfg, "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: schedule.{field}: phase duration must be finite")
+        assert not out.exists()
+
+    def test_refuses_append_under_foreign_header(self, capsys, tmp_path):
+        sim_cfg = write_config(tmp_path, "sim.json", dict(SIM_CONFIG, horizon_s=2000.0))
+        cfg = write_config(tmp_path, "sess.json", dict(SESSION_CONFIG, frames=5))
+        out = tmp_path / "f.csv"
+        assert run_cli(capsys, "simulate", sim_cfg, "--out", str(out))[0] == 0
+        before = out.read_bytes()
+        code, _, err = run_cli(capsys, "frame-session", cfg, "--out", str(out))
+        assert code == 2
+        assert str(out) in err
+        assert "seed=" not in err
+        assert out.read_bytes() == before
 
     def test_rejects_device_overflow(self, capsys, tmp_path):
         bad = dict(SESSION_CONFIG, devices=11)
@@ -291,3 +347,31 @@ class TestCommonBehaviour:
         )
         assert code == 2
         assert "replications" in err
+
+    @pytest.mark.parametrize(
+        "command", ["analytic-max", "analytic-curve", "simulate", "frame-session", "estimator-bench"]
+    )
+    def test_missing_out_directory_is_rejected(self, capsys, tmp_path, command):
+        inputs = {
+            "analytic-max": ["3"],
+            "analytic-curve": ["2", "--g-min", "0", "--g-max", "1", "--points", "5"],
+            "simulate": [write_config(tmp_path, "sim.json", SIM_CONFIG)],
+            "frame-session": [write_config(tmp_path, "sess.json", SESSION_CONFIG)],
+            "estimator-bench": [write_config(tmp_path, "bench.json", BENCH_CONFIG)],
+        }
+        missing = tmp_path / "nodir"
+        code, stdout, err = run_cli(
+            capsys, command, *inputs[command], "--out", str(missing / "x.csv")
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert str(missing) in err
+        assert stdout == ""
+        assert not missing.exists()
+
+    def test_out_path_that_is_a_directory_is_rejected(self, capsys, tmp_path):
+        code, stdout, err = run_cli(capsys, "analytic-max", "3", "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: out:")
+        assert str(tmp_path) in err
+        assert stdout == ""
