@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -148,6 +149,8 @@ def _single_replication(args: argparse.Namespace, command: str) -> None:
 def cmd_analytic_max(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ConfigError(f"n_max: must be >= 1, got {args.n_max}")
+    if not (0.0 < args.tol <= 1e-3):
+        raise ConfigError(f"--tol: must be in (0, 1e-3], got {args.tol}")
     _single_replication(args, "analytic-max")
     out = Path(args.out)
     rows = []
@@ -177,6 +180,9 @@ def cmd_analytic_max(args: argparse.Namespace) -> int:
 
 
 def cmd_analytic_curve(args: argparse.Namespace) -> int:
+    for flag, value in (("--g-min", args.g_min), ("--g-max", args.g_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag}: must be finite, got {value}")
     if args.points < 2:
         raise ConfigError(f"points: must be >= 2, got {args.points}")
     if not args.g_min < args.g_max:
@@ -327,6 +333,8 @@ def _frame_session_inputs(
         raise ConfigError(f"backoff.{exc}") from exc
 
     initial_power = _get(cfg, "initial_power_dbm", float, default=0.0)
+    if not math.isfinite(initial_power):
+        raise ConfigError(f"initial_power_dbm: must be finite, got {initial_power}")
     return frames, device_count, activation, schedule, hyp, _sic_from_config(cfg), policy, initial_power
 
 

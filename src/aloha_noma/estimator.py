@@ -49,10 +49,10 @@ class HypothesisConfig:
             raise ValueError(f"m: candidate population must be >= 1, got {self.m}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha: must be in (0, 1), got {self.alpha!r}")
-        if not (self.mean_signal > 0.0):
-            raise ValueError(f"mean_signal: must be > 0, got {self.mean_signal!r}")
-        if not (self.noise_sigma > 0.0):
-            raise ValueError(f"noise_sigma: must be > 0, got {self.noise_sigma!r}")
+        if not (0.0 < self.mean_signal < math.inf):
+            raise ValueError(f"mean_signal: must be finite and > 0, got {self.mean_signal!r}")
+        if not (0.0 < self.noise_sigma < math.inf):
+            raise ValueError(f"noise_sigma: must be finite and > 0, got {self.noise_sigma!r}")
         if self.per_device_signal is not None:
             if len(self.per_device_signal) != self.m:
                 raise ValueError(

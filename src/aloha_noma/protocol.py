@@ -93,11 +93,11 @@ class BackoffPolicy:
     slight_increase_db: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.delta_db > 0.0):
-            raise ValueError(f"delta_db: must be > 0, got {self.delta_db!r}")
-        if not (self.slight_increase_db > 0.0):
+        if not (0.0 < self.delta_db < math.inf):
+            raise ValueError(f"delta_db: must be finite and > 0, got {self.delta_db!r}")
+        if not (0.0 < self.slight_increase_db < math.inf):
             raise ValueError(
-                f"slight_increase_db: must be > 0, got {self.slight_increase_db!r}"
+                f"slight_increase_db: must be finite and > 0, got {self.slight_increase_db!r}"
             )
 
 

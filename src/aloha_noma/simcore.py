@@ -5,7 +5,8 @@ Transmissions occupy half-open intervals [start, start + T), so two packets
 spaced exactly one duration apart never interfere.  Reception is resolved
 either power-blind (ideal: a packet survives iff at most ``degree`` packets
 overlap its own interval) or power-aware (an SINR-threshold cancellation
-chain inside each maximal overlap cluster).
+chain inside each maximal overlap cluster, strongest first, where a packet's
+interference is the sum of the weaker packets of its cluster).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -148,15 +150,11 @@ class SimStats:
             raise ValueError("succeeded cannot exceed offered")
 
 
-def generate_traffic(config: SimConfig) -> list[Transmission]:
-    """Poisson arrivals over [0, horizon), sorted by start time.
-
-    Deterministic for a given config (seed included): arrival gaps are
-    drawn first, then shadowing offsets (only when enabled).
-    """
+def _traffic(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Start times and received powers (dBm) behind ``generate_traffic``."""
     rate = config.offered_load_g / config.packet_duration
     if rate == 0.0:
-        return []
+        return np.empty(0), np.empty(0)
     rng = np.random.default_rng(config.seed)
     expected = rate * config.horizon
     chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
@@ -174,22 +172,20 @@ def generate_traffic(config: SimConfig) -> list[Transmission]:
         )
     else:
         powers = np.full(starts.size, config.base_power_dbm)
+    return starts, powers
+
+
+def generate_traffic(config: SimConfig) -> list[Transmission]:
+    """Poisson arrivals over [0, horizon), sorted by start time.
+
+    Deterministic for a given config (seed included): arrival gaps are
+    drawn first, then shadowing offsets (only when enabled).
+    """
+    starts, powers = _traffic(config)
     return [
-        Transmission(i, float(s), config.packet_duration, float(p))
-        for i, (s, p) in enumerate(zip(starts, powers))
+        Transmission(i, s, config.packet_duration, p)
+        for i, (s, p) in enumerate(zip(starts.tolist(), powers.tolist()))
     ]
-
-
-def _interval_arrays(
-    transmissions: list[Transmission],
-) -> tuple[np.ndarray, np.ndarray]:
-    starts = np.fromiter(
-        (t.start_time for t in transmissions), dtype=float, count=len(transmissions)
-    )
-    ends = starts + np.fromiter(
-        (t.duration for t in transmissions), dtype=float, count=len(transmissions)
-    )
-    return starts, ends
 
 
 def _overlap_counts(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -204,60 +200,56 @@ def _overlap_counts(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 def overlap_count(tx: Transmission, transmissions: list[Transmission]) -> int:
     """Number of transmissions (tx included) intersecting tx's interval."""
-    starts, ends = _interval_arrays(transmissions)
-    before_end = int(np.searchsorted(np.sort(starts), tx.end_time, side="left"))
-    done_by_start = int(np.searchsorted(np.sort(ends), tx.start_time, side="right"))
+    starts = np.sort([t.start_time for t in transmissions])
+    ends = np.sort([t.end_time for t in transmissions])
+    before_end = int(np.searchsorted(starts, tx.end_time, side="left"))
+    done_by_start = int(np.searchsorted(ends, tx.start_time, side="right"))
     return before_end - done_by_start
 
 
-def _clusters(starts: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
-    """Maximal transitively-overlapping groups, one sweep over start order."""
-    order = np.argsort(starts, kind="stable")
-    clusters: list[np.ndarray] = []
-    current: list[int] = []
-    reach = -math.inf
-    for idx in order:
-        if current and starts[idx] >= reach:
-            clusters.append(np.array(current))
-            current = []
-            reach = -math.inf
-        current.append(int(idx))
-        reach = max(reach, float(ends[idx]))
-    if current:
-        clusters.append(np.array(current))
-    return clusters
-
-
-def _resolve_power_aware(
-    transmissions: list[Transmission],
+def _resolve(
     starts: np.ndarray,
     ends: np.ndarray,
+    powers_dbm: np.ndarray,
+    ids: np.ndarray,
     sic: SicModel,
-) -> list[bool]:
-    powers_mw = np.fromiter(
-        (10.0 ** (t.rx_power_dbm / 10.0) for t in transmissions),
-        dtype=float,
-        count=len(transmissions),
-    )
+) -> np.ndarray:
+    """Per-packet success flags for packets given as parallel arrays."""
+    if sic.mode is SicMode.IDEAL:
+        return _overlap_counts(starts, ends) <= sic.degree
+    # maximal transitively-overlapping clusters: in start order a packet
+    # opens a new cluster iff it starts at or after every earlier end
+    by_start = np.argsort(starts, kind="stable")
+    opens = np.empty(starts.size, dtype=np.intp)
+    opens[0] = 0
+    opens[1:] = starts[by_start[1:]] >= np.maximum.accumulate(ends[by_start])[:-1]
+    cluster = np.empty(starts.size, dtype=np.intp)
+    cluster[by_start] = np.cumsum(opens)
+    sizes = np.bincount(cluster)
+    firsts = np.cumsum(sizes) - sizes
+
+    # Python's float pow, not np.power, which differs in the last bit on
+    # some values and would move borderline SINR decisions
+    powers_mw = np.array([10.0 ** (p / 10.0) for p in powers_dbm.tolist()])
     noise_mw = 10.0 ** (sic.noise_floor_dbm / 10.0)
     theta = 10.0 ** (sic.capture_threshold_db / 10.0)
-    flags = [False] * len(transmissions)
-    for cluster in _clusters(starts, ends):
-        # strongest first; ties broken by start time then device id
-        by_power = sorted(
-            cluster,
-            key=lambda i: (-powers_mw[i], starts[i], transmissions[i].device_id),
-        )
-        residual = float(powers_mw[cluster].sum())
-        for stage, idx in enumerate(by_power):
-            if stage >= sic.degree:
+    # decode order: by cluster, strongest first, ties by start then device id
+    order = np.lexsort((ids, starts, -powers_mw, cluster))
+    chain = powers_mw[order]
+    decoded = np.repeat(sizes == 1, sizes) & (chain >= theta * noise_mw)
+    # a stage's interference is the sum of the weaker packets of its cluster,
+    # added from the weakest up; subtracting decoded packets from the cluster
+    # total instead cancels catastrophically across a wide power spread
+    stages = chain.tolist()
+    for a, n in zip(firsts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        interference = [*accumulate(stages[a + n - 1 : a : -1])][::-1]
+        interference.append(0.0)
+        for j in range(min(n, sic.degree)):
+            if not stages[a + j] >= theta * (interference[j] + noise_mw):
                 break
-            interference = residual - powers_mw[idx]
-            if powers_mw[idx] >= theta * (interference + noise_mw):
-                flags[idx] = True
-                residual = interference
-            else:
-                break
+            decoded[a + j] = True
+    flags = np.empty(chain.size, dtype=bool)
+    flags[order] = decoded
     return flags
 
 
@@ -265,11 +257,13 @@ def resolve_sic(transmissions: list[Transmission], sic: SicModel) -> list[bool]:
     """Per-transmission success flags, aligned with the input order."""
     if not transmissions:
         return []
-    starts, ends = _interval_arrays(transmissions)
-    if sic.mode is SicMode.IDEAL:
-        counts = _overlap_counts(starts, ends)
-        return (counts <= sic.degree).tolist()
-    return _resolve_power_aware(transmissions, starts, ends, sic)
+    return _resolve(
+        np.array([t.start_time for t in transmissions]),
+        np.array([t.end_time for t in transmissions]),
+        np.array([t.rx_power_dbm for t in transmissions]),
+        np.array([t.device_id for t in transmissions]),
+        sic,
+    ).tolist()
 
 
 def run_simulation(config: SimConfig) -> SimStats:
@@ -279,14 +273,13 @@ def run_simulation(config: SimConfig) -> SimStats:
     still interfere.  The confidence half-width comes from batch means over
     BATCH_COUNT equal spans of the measured window.
     """
-    transmissions = generate_traffic(config)
-    flags = resolve_sic(transmissions, config.sic)
+    starts, powers_dbm = _traffic(config)
     span = config.horizon - config.warmup
-    if not transmissions:
+    if starts.size == 0:
         return SimStats(0, 0, 0.0, 0.0, 0.0, degenerate=True)
 
-    starts, ends = _interval_arrays(transmissions)
-    ok = np.fromiter(flags, dtype=bool, count=len(flags))
+    ends = starts + config.packet_duration
+    ok = _resolve(starts, ends, powers_dbm, np.arange(starts.size), config.sic)
     measured = starts >= config.warmup
     offered = int(measured.sum())
     busy = np.clip(ends, config.warmup, config.horizon) - np.clip(

@@ -89,6 +89,15 @@ class TestAnalyticMax:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("tol", ["0.1", "nan", "inf", "0"])
+    def test_rejects_bad_tolerance(self, capsys, tmp_path, tol):
+        out = tmp_path / "max.csv"
+        code, _, err = run_cli(capsys, "analytic-max", "2", "--tol", tol, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: --tol: must be in (0, 1e-3]")
+        assert not out.exists()
+
+
 class TestAnalyticCurve:
     def test_peak_location(self, capsys, tmp_path):
         out = tmp_path / "curve.csv"
@@ -120,6 +129,21 @@ class TestAnalyticCurve:
         code, _, err = run_cli(capsys, *argv, "--out", str(out))
         assert code == 2
         assert err.startswith("error:")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "g_min, g_max, flag",
+        [("0", "inf", "--g-max"), ("nan", "1", "--g-min"), ("-inf", "1", "--g-min")],
+    )
+    def test_non_finite_grid_bound_is_rejected(self, capsys, tmp_path, g_min, g_max, flag):
+        out = tmp_path / "curve.csv"
+        code, _, err = run_cli(
+            capsys, "analytic-curve", "2", f"--g-min={g_min}", f"--g-max={g_max}",
+            "--points", "5", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {flag}: must be finite")
         assert not out.exists()
 
 
@@ -291,6 +315,32 @@ class TestFrameSession:
         code, _, err = run_cli(capsys, "frame-session", cfg, "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "devices" in err
+
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("hypothesis", "mean_signal", math.inf),
+            ("hypothesis", "noise_sigma", math.inf),
+            ("backoff", "delta_db", math.inf),
+            ("backoff", "slight_increase_db", math.inf),
+            (None, "initial_power_dbm", math.inf),
+            (None, "initial_power_dbm", math.nan),
+        ],
+    )
+    def test_non_finite_config_float_is_rejected(self, capsys, tmp_path, section, key, value):
+        bad = dict(SESSION_CONFIG, frames=5)
+        if section is None:
+            bad[key] = value
+        else:
+            bad[section] = dict(bad[section], **{key: value})
+        cfg = write_config(tmp_path, "bad.json", bad)
+        out = tmp_path / "sess.csv"
+        code, _, err = run_cli(capsys, "frame-session", cfg, "--out", str(out))
+        assert code == 2
+        field = key if section is None else f"{section}.{key}"
+        assert err.startswith(f"error: {field}: must be finite")
+        assert not out.exists()
 
 
 class TestEstimatorBench:

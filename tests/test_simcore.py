@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aloha_noma.simcore import (
@@ -191,6 +192,70 @@ class TestResolveSicPowerAware:
             assert all(not a or i for a, i in zip(aware, ideal))
 
 
+def exact_power_chain(txs, sic):
+    """Power-aware flags in exact rational arithmetic, plus the smallest
+    relative SINR margin of any decision the chain took.
+
+    Clusters are the connected components of the overlap graph; inside one
+    the strongest packet is tried first (ties by start, then device id)
+    against the exact sum of the weaker members plus noise.
+    """
+    cluster = list(range(len(txs)))
+    for i, a in enumerate(txs):
+        for j, b in enumerate(txs):
+            if a.start_time < b.end_time and b.start_time < a.end_time:
+                old, new = cluster[j], cluster[i]
+                cluster = [new if c == old else c for c in cluster]
+    mw = [Fraction(10.0 ** (t.rx_power_dbm / 10.0)) for t in txs]
+    theta = Fraction(10.0 ** (sic.capture_threshold_db / 10.0))
+    noise = Fraction(10.0 ** (sic.noise_floor_dbm / 10.0))
+    flags = [False] * len(txs)
+    margin = math.inf
+    for label in set(cluster):
+        chain = sorted(
+            (i for i, c in enumerate(cluster) if c == label),
+            key=lambda i: (-mw[i], txs[i].start_time, txs[i].device_id),
+        )
+        for stage, i in enumerate(chain[: sic.degree]):
+            need = theta * (sum(mw[j] for j in chain[stage + 1 :]) + noise)
+            margin = min(margin, abs(float((mw[i] - need) / mw[i])))
+            if mw[i] < need:
+                break
+            flags[i] = True
+    return flags, margin
+
+
+class TestExactPowerChain:
+    def test_wide_spread_does_not_cancel(self):
+        # 10 dBm against 6 dBm plus noise is 10 / 3.982 = 2.51 < 10**0.6; a
+        # residual taken from a total that holds the 200 dBm packet rounds
+        # the weaker packets away and wrongly lets both pass
+        txs = packets(0.0, 0.0, 0.0, powers=[200.0, 10.0, 6.0])
+        model = SicModel(3, SicMode.POWER_AWARE, capture_threshold_db=6.0, noise_floor_dbm=-30.0)
+        assert resolve_sic(txs, model) == [True, False, False]
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 3.0)),
+                st.one_of(st.sampled_from([-300.0, 0.0, 6.0, 300.0]), st.floats(-300.0, 300.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(1, 8),
+        st.sampled_from([-3.0, 0.0, 6.0]),
+    )
+    def test_matches_exact_reference(self, rows, degree, threshold_db):
+        txs = packets(*[s for s, _ in rows], powers=[p for _, p in rows])
+        model = SicModel(degree, SicMode.POWER_AWARE, capture_threshold_db=threshold_db)
+        expected, margin = exact_power_chain(txs, model)
+        # a decision within rounding of the threshold may go either way
+        assume(margin > 1e-12)
+        assert resolve_sic(txs, model) == expected
+
+
 class TestRunSimulation:
     def test_zero_load_is_degenerate(self):
         stats = run_simulation(sim_config(g=0.0))
@@ -236,3 +301,27 @@ class TestRunSimulation:
     def test_mean_concurrency_tracks_offered_load(self):
         stats = run_simulation(sim_config(g=0.5, horizon=5e4, seed=15))
         assert stats.mean_concurrency == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize(
+        "sic, extra, expected",
+        [
+            (
+                SicModel(degree=2),
+                {"seed": 31},
+                SimStats(19876, 8212, 0.41266331658291455, 0.9988628425878078,
+                         0.010223982917660435),
+            ),
+            (
+                SicModel(degree=3, mode=SicMode.POWER_AWARE),
+                {"seed": 37, "base_power_dbm": -10.0, "shadowing_sigma_db": 6.0},
+                SimStats(19969, 4810, 0.24170854271356784, 1.003528169857636,
+                         0.006495214643652973),
+            ),
+        ],
+        ids=["ideal", "power_aware"],
+    )
+    def test_pinned_stats(self, sic, extra, expected):
+        cfg = SimConfig(
+            offered_load_g=1.0, packet_duration=1.0, horizon=2e4, sic=sic, warmup=100.0, **extra
+        )
+        assert run_simulation(cfg) == expected
