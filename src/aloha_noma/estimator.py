@@ -127,10 +127,10 @@ def estimate_active_count(
             f"expected {config.m} statistics, got {len(statistics)}"
         )
     threshold = bonferroni_threshold(config.alpha, config.m)
-    p_values = tuple(
-        p_value_from_statistic(float(x), config.noise_sigma) for x in statistics
-    )
-    rejected = frozenset(i for i, p in enumerate(p_values) if p <= threshold)
+    # the expression of p_value_from_statistic, with its scale taken once
+    scale = config.noise_sigma * math.sqrt(2.0)
+    p_values = tuple([0.5 * math.erfc(x / scale) for x in statistics])
+    rejected = frozenset([i for i, p in enumerate(p_values) if p <= threshold])
     return EstimationOutcome(p_values, rejected, len(rejected))
 
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .estimator import HypothesisConfig, simulate_estimation_round
-from .simcore import SicModel, Transmission, resolve_sic
+from .simcore import SicMode, SicModel, _dbm_to_mw, _decode_chains
 from .stats import half_width
 
 __all__ = [
@@ -142,18 +142,6 @@ def effective_throughput(raw: float, schedule: FrameSchedule) -> float:
     return raw * schedule.payload / schedule.total
 
 
-def _emit(
-    trace: list[TraceEvent] | None,
-    frame: int,
-    phase: str,
-    start: float,
-    end: float,
-    detail: dict[str, object],
-) -> None:
-    if trace is not None:
-        trace.append(TraceEvent(frame, phase, start, end, detail))
-
-
 def run_frame(
     devices: list[DeviceState],
     schedule: FrameSchedule,
@@ -184,92 +172,88 @@ def run_frame(
     rng = np.random.default_rng(seed)
     estimation_seed = int(rng.integers(0, 2**63 - 1))
 
-    t0 = frame_start
-    t1 = t0 + schedule.beacon
-    t2 = t1 + schedule.estimation
-    t3 = t2 + schedule.broadcast
-    t4 = t3 + schedule.payload
-    t5 = t4 + schedule.ack
-
     active = [i for i, d in enumerate(devices) if d.has_data]
-    _emit(trace, frame_index, "beacon", t0, t1, {"devices": len(devices)})
-
     outcome = simulate_estimation_round(active, hyp_cfg, estimation_seed)
-    _emit(
-        trace,
-        frame_index,
-        "estimation",
-        t1,
-        t2,
-        {"true_active": len(active), "estimated_count": outcome.estimated_count},
-    )
+    estimated, rejected = outcome.estimated_count, outcome.rejected
 
     # only devices that transmitted a dummy carry a decodable ID, so a
     # rejected hypothesis maps to a detected device only when it is active
-    detected_positions = [i for i in active if i in outcome.rejected]
-    detected_ids = sorted(devices[i].device_id for i in detected_positions)
-    capped = outcome.estimated_count > sic.degree
-    degree_used = min(outcome.estimated_count, sic.degree)
+    detected = [i for i in active if i in rejected]
+    degree_used = min(estimated, sic.degree)
     for i, d in enumerate(devices):
-        d.detected_by_gateway = i in outcome.rejected and d.has_data
-    for i in detected_positions:
-        devices[i].tx_power_dbm = power_backoff(
-            devices[i].tx_power_dbm, outcome.estimated_count, policy, rng
-        )
+        d.detected_by_gateway = i in rejected and d.has_data
+    # every detected device draws from the same -N..N range, so one vector
+    # draw gives the values of power_backoff called in detected order
+    if detected:
+        steps = rng.integers(-estimated, estimated + 1, size=len(detected))
+        for i, n in zip(detected, steps.tolist()):
+            devices[i].tx_power_dbm += n * policy.delta_db
     for i in active:
-        if i not in outcome.rejected:
+        if i not in rejected:
             devices[i].tx_power_dbm += policy.slight_increase_db
-    _emit(
-        trace,
-        frame_index,
-        "broadcast",
-        t2,
-        t3,
-        {"detected": detected_ids, "estimated_count": outcome.estimated_count, "capped": capped},
-    )
 
-    payload_txs = [
-        Transmission(
-            device_id=devices[i].device_id,
-            start_time=t3,
-            duration=schedule.payload,
-            rx_power_dbm=devices[i].tx_power_dbm,
-        )
-        for i in detected_positions
-    ]
-    if payload_txs:
-        flags = resolve_sic(payload_txs, replace(sic, degree=degree_used))
+    # the payload burst is one cluster: every packet spans the same interval
+    if sic.mode is SicMode.IDEAL:
+        successes = detected if len(detected) <= degree_used else []
     else:
-        flags = []
-    success_positions = [i for i, ok in zip(detected_positions, flags) if ok]
-    _emit(
-        trace,
-        frame_index,
-        "payload",
-        t3,
-        t4,
-        {
-            "transmitters": detected_ids,
-            "degree_used": degree_used,
-            "successes": sorted(devices[i].device_id for i in success_positions),
-        },
-    )
+        mw = _dbm_to_mw([devices[i].tx_power_dbm for i in detected])
+        # strongest first, ties by device id, the order simcore._resolve uses
+        order = sorted(
+            range(len(detected)), key=lambda j: (-mw[j], devices[detected[j]].device_id)
+        )
+        noise_mw, theta = _dbm_to_mw([sic.noise_floor_dbm, sic.capture_threshold_db])
+        decoded = _decode_chains(
+            [mw[j] for j in order], [(0, len(order))], degree_used, theta, noise_mw
+        )
+        successes = [detected[order[p]] for p in decoded]
 
-    acked_ids = frozenset(devices[i].device_id for i in success_positions)
+    acked = set(successes)
     for i in active:
-        acked = i in success_positions
-        devices[i].last_ack_received = acked
-        if acked:
+        devices[i].last_ack_received = i in acked
+        if i in acked:
             devices[i].has_data = False
-    _emit(trace, frame_index, "ack", t4, t5, {"acked": sorted(acked_ids)})
+    acked_ids = frozenset(devices[i].device_id for i in successes)
+    detected_ids = frozenset(devices[i].device_id for i in detected)
+
+    if trace is not None:
+        t1 = frame_start + schedule.beacon
+        t2 = t1 + schedule.estimation
+        t3 = t2 + schedule.broadcast
+        t4 = t3 + schedule.payload
+        t5 = t4 + schedule.ack
+        transmitters = sorted(detected_ids)
+        trace.extend((
+            TraceEvent(frame_index, "beacon", frame_start, t1, {"devices": len(devices)}),
+            TraceEvent(
+                frame_index, "estimation", t1, t2,
+                {"true_active": len(active), "estimated_count": estimated},
+            ),
+            TraceEvent(
+                frame_index, "broadcast", t2, t3,
+                {
+                    "detected": transmitters,
+                    "estimated_count": estimated,
+                    "capped": estimated > sic.degree,
+                },
+            ),
+            TraceEvent(
+                frame_index, "payload", t3, t4,
+                {
+                    "transmitters": transmitters,
+                    "degree_used": degree_used,
+                    "successes": sorted(acked_ids),
+                },
+            ),
+            TraceEvent(frame_index, "ack", t4, t5, {"acked": sorted(acked_ids)}),
+        ))
 
     raw = float(len(acked_ids))
     return FrameResult(
-        estimated_count=outcome.estimated_count,
+        estimated_count=estimated,
         true_active_count=len(active),
         payload_successes=len(acked_ids),
         acked_device_ids=acked_ids,
-        detected_device_ids=frozenset(detected_ids),
+        detected_device_ids=detected_ids,
         effective_throughput=effective_throughput(raw, schedule),
         raw_throughput=raw,
     )
@@ -320,8 +304,9 @@ def run_session(
     results: list[FrameResult] = []
     start = 0.0
     for k in range(frame_count):
-        for d in devices:
-            if not d.has_data and rng.random() < activation_probability:
+        idle = [d for d in devices if not d.has_data]
+        for d, u in zip(idle, rng.random(len(idle)).tolist()):
+            if u < activation_probability:
                 d.has_data = True
         results.append(
             run_frame(

@@ -164,6 +164,16 @@ class TestSimulate:
         assert len(rows) == 1
         assert "seed=5" in err
 
+    def test_power_past_float_overflow_runs(self, capsys, tmp_path):
+        loud = dict(SIM_CONFIG, base_power_dbm=4000.0, sic={"degree": 2, "mode": "power_aware"})
+        cfg = write_config(tmp_path, "loud.json", loud)
+        out = tmp_path / "sim.csv"
+        code, stdout, _ = run_cli(capsys, "simulate", cfg, "--out", str(out), "--no-timestamp")
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 1
+        assert 0.0 < json.loads(stdout)["mean_throughput"] < 1.0
+
     def test_validation_error_names_field(self, capsys, tmp_path):
         bad = dict(SIM_CONFIG, offered_load_g=-2.0)
         cfg = write_config(tmp_path, "bad.json", bad)
@@ -266,6 +276,18 @@ class TestFrameSession:
         assert record["mean_effective_throughput"] == pytest.approx(
             0.96 * record["mean_raw_throughput"], rel=1e-9
         )
+
+    def test_power_past_float_overflow_runs(self, capsys, tmp_path):
+        loud = dict(SESSION_CONFIG, initial_power_dbm=4000.0)
+        loud["sic"] = {"degree": 8, "mode": "power_aware"}
+        cfg = write_config(tmp_path, "loud.json", loud)
+        out = tmp_path / "sess.csv"
+        code, stdout, _ = run_cli(
+            capsys, "frame-session", cfg, "--out", str(out), "--no-timestamp"
+        )
+        assert code == 0
+        record = json.loads(stdout)["records"][0]
+        assert record["mean_payload_successes"] <= record["mean_true_active"]
 
     def test_overhead_dominated_schedule_warns(self, capsys, tmp_path):
         heavy = dict(SESSION_CONFIG, frames=10)

@@ -4,19 +4,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aloha_noma import protocol
 from aloha_noma.estimator import HypothesisConfig
 from aloha_noma.protocol import (
     PHASES,
     BackoffPolicy,
     DeviceState,
     FrameSchedule,
+    SessionStats,
     effective_throughput,
     format_trace,
     power_backoff,
     run_frame,
     run_session,
 )
-from aloha_noma.simcore import SicModel
+from aloha_noma.simcore import SicMode, SicModel
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -176,6 +178,23 @@ class TestRunFrame:
             assert steps == int(steps)
             assert abs(steps) <= n_hat
 
+    def test_backoff_matches_scalar_draws_in_detected_order(self):
+        # the frame draws all back-off steps at once; the values must be those
+        # of power_backoff called device by device on the frame's stream
+        seed, policy = 23, BackoffPolicy(delta_db=2.0)
+        devs = [DeviceState(i, has_data=True, tx_power_dbm=1.5 * i) for i in range(6)]
+        before = [d.tx_power_dbm for d in devs]
+        result = run_frame(
+            devs, FrameSchedule(), strong_config(), SicModel(degree=10), policy, seed=seed
+        )
+        assert len(result.detected_device_ids) >= 3
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 2**63 - 1)
+        for d, power in zip(devs, before):
+            if d.device_id in result.detected_device_ids:
+                expected = power_backoff(power, result.estimated_count, policy, rng)
+                assert d.tx_power_dbm == expected
+
     def test_degree_cap_recorded_and_applied(self):
         trace = []
         result = run_frame(
@@ -263,6 +282,50 @@ class TestRunSession:
         assert stats.mean_true_active == pytest.approx(5.0, abs=0.2)
         assert stats.mean_abs_estimation_error <= 0.1
         assert stats.mean_payload_successes == pytest.approx(stats.mean_true_active, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "activation, n, hyp_cfg, sic, seed, expected",
+        [
+            (
+                0.25, 20,
+                HypothesisConfig(m=20, alpha=0.05, mean_signal=8.0, noise_sigma=1.0),
+                SicModel(degree=32), 11,
+                SessionStats(300, 4.95, 4.926666666666667, 0.023333333333333334,
+                             4.926666666666667, 4.926666666666667, 4.7296,
+                             0.2207203238486436, 0.21189151089469785,
+                             0.017180490338607288),
+            ),
+            (
+                0.1, 50,
+                HypothesisConfig(m=50, alpha=0.05, mean_signal=8.0, noise_sigma=1.0),
+                SicModel(degree=8, mode=SicMode.POWER_AWARE), 12,
+                SessionStats(300, 22.416666666666668, 22.393333333333334,
+                             0.023333333333333334, 2.98, 2.98, 2.8608000000000002,
+                             0.23726417256458365, 0.22777360566200028,
+                             0.017180490338607288),
+            ),
+        ],
+        ids=["ideal", "power_aware"],
+    )
+    def test_pinned_stats(self, activation, n, hyp_cfg, sic, seed, expected):
+        stats = run_session(
+            300, activation, devices(n, active=[]), FrameSchedule(), hyp_cfg, sic,
+            BackoffPolicy(), seed=seed,
+        )
+        assert stats == expected
+
+    def test_calls_module_run_frame_once_per_frame(self, monkeypatch):
+        # per-frame observers (oracles, tracers) hook in by rebinding
+        # protocol.run_frame, so the session must look the name up each frame
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_frame(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "run_frame", counting)
+        run_session(7, 0.5, devices(5, active=[]), seed=4, **self.run_args())
+        assert len(calls) == 7
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

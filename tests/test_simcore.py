@@ -12,6 +12,7 @@ from aloha_noma.simcore import (
     SimConfig,
     SimStats,
     Transmission,
+    _dbm_to_mw,
     generate_traffic,
     overlap_count,
     resolve_sic,
@@ -254,6 +255,23 @@ class TestExactPowerChain:
         # a decision within rounding of the threshold may go either way
         assume(margin > 1e-12)
         assert resolve_sic(txs, model) == expected
+
+
+class TestPowerOverflow:
+    MODEL = SicModel(degree=2, mode=SicMode.POWER_AWARE)
+
+    def test_conversion_is_float_pow_up_to_overflow(self):
+        # 10 ** 308.25 is finite, 10 ** 308.26 is past the largest double
+        levels = [-4000.0, -30.0, 0.0, 6.0, 3082.5]
+        assert _dbm_to_mw(levels) == [10.0 ** (x / 10.0) for x in levels]
+        assert _dbm_to_mw([3082.5, 3082.6, 4000.0]) == [10.0 ** 308.25, math.inf, math.inf]
+
+    def test_packets_past_overflow_are_resolved(self):
+        assert resolve_sic(packets(0.0, powers=[3082.6]), self.MODEL) == [True]
+        txs = packets(0.0, 0.5, powers=[3082.6, 0.0])
+        assert resolve_sic(txs, self.MODEL) == [True, True]
+        txs = packets(0.0, 0.5, powers=[3082.5, 0.0])
+        assert resolve_sic(txs, self.MODEL) == [True, True]
 
 
 class TestRunSimulation:
