@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import special
@@ -166,6 +167,99 @@ class MonteCarloEstimation:
     mean_abs_error: float
 
 
+def _float_key(x: float) -> int:
+    """Position of x on the ordered float64 lattice; 0.0 and -0.0 share 0."""
+    key = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return -key if x < 0.0 else key
+
+
+def _key_float(key: int) -> float:
+    """Inverse of ``_float_key``."""
+    x = struct.unpack("<d", struct.pack("<q", abs(key)))[0]
+    return -x if key < 0 else x
+
+
+def _first_true(predicate: Callable[[float], bool]) -> int:
+    """Key of the smallest float where a predicate that is false at -inf
+    and true at inf turns true, by bisection over the float64 lattice."""
+    lo, hi = _float_key(-math.inf), _float_key(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if predicate(_key_float(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _scaled(z, mean, sigma: float):
+    """The test statistic mean + sigma * z in units of sigma * sqrt(2)."""
+    return (mean + sigma * z) / (sigma * math.sqrt(2.0))
+
+
+def _p_value_rejects(x, config: HypothesisConfig):
+    """The Bonferroni p-value rule on scaled statistics, with scipy's erfc."""
+    return 0.5 * special.erfc(x) <= bonferroni_threshold(config.alpha, config.m)
+
+
+# floats checked on each side of the statistic where the rule turns true
+_WINDOW_CHECK = 4096
+# how far from that point the rule may still flip back and forth
+_WINDOW_REACH = 64
+
+
+def _statistic_window(config: HypothesisConfig) -> tuple[float, float]:
+    """Scaled statistics ``(lower, upper)`` that bound the rule's flips.
+
+    ``_p_value_rejects`` rejects no statistic x < lower and every x >=
+    upper; statistics in between need the rule itself.  The window is
+    empty (lower == upper) unless scipy's erfc is not monotone in its last
+    bit where the rule turns, as at some levels alpha / M above about 0.16
+    (statistics below 1).  Bisection gives one point where the rule turns
+    true, and every flip among the ``_WINDOW_CHECK`` floats on each side of
+    it must lie within ``_WINDOW_REACH`` floats of it.
+    """
+    turn = _first_true(lambda x: _p_value_rejects(x, config))
+    keys = np.arange(turn - _WINDOW_CHECK, turn + _WINDOW_CHECK + 1)
+    magnitudes = np.abs(keys).view(np.float64)
+    flags = _p_value_rejects(np.where(keys < 0, -magnitudes, magnitudes), config)
+    first_hit = int(np.argmax(flags))
+    last_miss = flags.size - 1 - int(np.argmax(~flags[::-1]))
+    if first_hit < _WINDOW_CHECK - _WINDOW_REACH or last_miss >= _WINDOW_CHECK + _WINDOW_REACH:
+        raise RuntimeError(
+            "p-value rule flips too far from its threshold for "
+            f"alpha={config.alpha!r}, M={config.m}, noise_sigma={config.noise_sigma!r}"
+        )
+    return _key_float(int(keys[first_hit])), _key_float(int(keys[last_miss]) + 1)
+
+
+def _first_draw(x: float, mean: float, sigma: float) -> float:
+    """Smallest standard-normal draw whose scaled statistic reaches x; the
+    statistic is monotone in the draw, since IEEE +, * and / are."""
+    return _key_float(_first_true(lambda z: _scaled(z, mean, sigma) >= x))
+
+
+def _rejections(draws: np.ndarray, means: np.ndarray, config: HypothesisConfig) -> np.ndarray:
+    """The p-value rule on standard-normal draws (trials x M) of columns
+    with the given means, as ``_p_value_rejects(_scaled(...))``, the
+    expression the Monte Carlo used to evaluate per draw.
+
+    The statistic window maps to one window of draws per distinct mean;
+    a draw below it never rejects and one at or above it always does, so
+    only draws inside a non-empty window need the rule itself.
+    """
+    window = _statistic_window(config)
+    distinct, column = np.unique(means, return_inverse=True)
+    bounds = [[_first_draw(x, mu, config.noise_sigma) for x in window] for mu in distinct.tolist()]
+    lower, upper = np.array(bounds)[column].T
+    rejected = draws >= upper
+    if (lower < upper).any():
+        rows, cols = np.nonzero((draws >= lower) & (draws < upper))
+        statistics = _scaled(draws[rows, cols], means[cols], config.noise_sigma)
+        rejected[rows, cols] = _p_value_rejects(statistics, config)
+    return rejected
+
+
 def monte_carlo_estimation(
     true_active: Iterable[int], config: HypothesisConfig, trials: int, seed: int
 ) -> MonteCarloEstimation:
@@ -174,7 +268,8 @@ def monte_carlo_estimation(
     ``fwer`` is the fraction of trials with at least one false rejection;
     ``power`` the mean detection rate over truly active devices (NaN when
     none are active).  With trials = 1 the draw matches
-    ``simulate_estimation_round(true_active, config, seed)`` exactly.
+    ``simulate_estimation_round(true_active, config, seed)`` exactly.  The
+    tests are decided on the draws by ``_rejections``.
     """
     if operator.index(trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -182,17 +277,14 @@ def monte_carlo_estimation(
     true_count = int(mask.sum())
     means = np.where(mask, config.signal_means(), 0.0)
     rng = np.random.default_rng(seed)
-    statistics = means + config.noise_sigma * rng.standard_normal((trials, config.m))
-    scaled = statistics / (config.noise_sigma * math.sqrt(2.0))
-    p_values = 0.5 * special.erfc(scaled)
-    rejected = p_values <= bonferroni_threshold(config.alpha, config.m)
-    counts = rejected.sum(axis=1)
-    false_any = (rejected & ~mask).any(axis=1)
-    power = float(rejected[:, mask].mean()) if true_count else math.nan
+    rejected = _rejections(rng.standard_normal((trials, config.m)), means, config)
+    counts = np.count_nonzero(rejected, axis=1)
+    false_any = int(np.count_nonzero(rejected[:, ~mask].any(axis=1)))
+    detections = int(np.count_nonzero(rejected, axis=0)[mask].sum())
     return MonteCarloEstimation(
         trials=trials,
-        fwer=float(false_any.mean()),
-        power=power,
+        fwer=false_any / trials,
+        power=detections / (trials * true_count) if true_count else math.nan,
         mean_estimate=float(counts.mean()),
         mean_abs_error=float(np.abs(counts - true_count).mean()),
     )

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .estimator import HypothesisConfig, simulate_estimation_round
-from .simcore import SicMode, SicModel, _dbm_to_mw, _decode_chains
+from .simcore import SicMode, SicModel, _dbm_to_mw, _decode_chains, _decode_relative
 from .stats import half_width
 
 __all__ = [
@@ -196,15 +196,21 @@ def run_frame(
     if sic.mode is SicMode.IDEAL:
         successes = detected if len(detected) <= degree_used else []
     else:
-        mw = _dbm_to_mw([devices[i].tx_power_dbm for i in detected])
-        # strongest first, ties by device id, the order simcore._resolve uses
-        order = sorted(
-            range(len(detected)), key=lambda j: (-mw[j], devices[detected[j]].device_id)
-        )
+        dbm = [devices[i].tx_power_dbm for i in detected]
+        mw = _dbm_to_mw(dbm)
         noise_mw, theta = _dbm_to_mw([sic.noise_floor_dbm, sic.capture_threshold_db])
-        decoded = _decode_chains(
-            [mw[j] for j in order], [(0, len(order))], degree_used, theta, noise_mw
+        # strongest first, ties by device id, the order simcore._resolve uses;
+        # a burst holding an infinite mW power is ordered and decided on dBm
+        overflowed = math.inf in mw
+        power = dbm if overflowed else mw
+        order = sorted(
+            range(len(detected)), key=lambda j: (-power[j], devices[detected[j]].device_id)
         )
+        stages, runs = [power[j] for j in order], [(0, len(order))]
+        if overflowed:
+            decoded = _decode_relative(stages, runs, degree_used, theta, sic.noise_floor_dbm)
+        else:
+            decoded = _decode_chains(stages, runs, degree_used, theta, noise_mw)
         successes = [detected[order[p]] for p in decoded]
 
     acked = set(successes)

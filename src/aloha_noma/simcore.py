@@ -218,9 +218,14 @@ def _dbm_to_mw(dbm: list[float]) -> list[float]:
     try:
         return [10.0 ** (x / 10.0) for x in dbm]
     except OverflowError:
-        if len(dbm) == 1:
-            return [math.inf]
-        return [mw for x in dbm for mw in _dbm_to_mw([x])]
+        pass
+    mw = []
+    for x in dbm:
+        try:
+            mw.append(10.0 ** (x / 10.0))
+        except OverflowError:
+            mw.append(math.inf)
+    return mw
 
 
 def _decode_chains(
@@ -247,6 +252,35 @@ def _decode_chains(
             if not stages[a + j] >= theta * (interference[j] + noise_mw):
                 break
             yield a + j
+
+
+def _decode_relative(
+    stages: list[float],
+    runs: Iterable[tuple[int, int]],
+    degree: int,
+    theta: float,
+    noise_dbm: float,
+) -> Iterator[int]:
+    """``_decode_chains`` for clusters that hold an infinite mW power.
+
+    ``stages`` holds received powers in dBm, strongest first within each
+    run.  Each stage is decided on powers relative to its own packet, the
+    strongest left in its cluster: it decodes iff 1 >= theta * (weaker +
+    noise), both in units of its own power.  Absolute mW past about
+    3082.5 dBm are infinite and ``inf >= theta * inf`` passes; relative to
+    the strongest packet of the whole cluster, a spread past about 3240 dB
+    rounds the noise and the weaker packets to zero and ``0 >= 0`` passes.
+    Relative to the stage's own packet neither happens: each weaker packet
+    counts at most 1, and a noise floor far above the packet is infinite
+    and fails it, as it should.
+    """
+    for a, n in runs:
+        for j in range(a, a + min(n, degree)):
+            x = stages[j]
+            *weaker, noise = _dbm_to_mw([y - x for y in stages[j + 1 : a + n]] + [noise_dbm - x])
+            if not 1.0 >= theta * (sum(weaker[::-1]) + noise):
+                break
+            yield j
 
 
 def _resolve(
@@ -286,6 +320,18 @@ def _resolve(
     decoded[np.fromiter(chains, dtype=np.intp)] = True
     flags = np.empty(chain.size, dtype=bool)
     flags[order] = decoded
+    overflowed = np.isinf(powers_mw)
+    if overflowed.any():
+        # decide the clusters that hold an infinite power again, on dBm
+        hot = np.flatnonzero(np.isin(cluster, cluster[overflowed]))
+        hot = hot[np.lexsort((ids[hot], starts[hot], -powers_dbm[hot], cluster[hot]))]
+        _, firsts, sizes = np.unique(cluster[hot], return_index=True, return_counts=True)
+        runs = zip(firsts.tolist(), sizes.tolist())
+        chains = _decode_relative(
+            powers_dbm[hot].tolist(), runs, sic.degree, theta, sic.noise_floor_dbm
+        )
+        flags[hot] = False
+        flags[hot[np.fromiter(chains, dtype=np.intp)]] = True
     return flags
 
 

@@ -6,7 +6,7 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 __all__ = ["half_width"]
 
@@ -20,5 +20,7 @@ def half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
     n = x.size
     if n < 2:
         return 0.0
-    quantile = sps.t.ppf(0.5 + confidence / 2.0, df=n - 1)
+    # the Student-t quantile without importing scipy.stats, which is slow
+    # to import; stdtrit gives the bits of scipy.stats.t.ppf
+    quantile = special.stdtrit(n - 1, 0.5 + confidence / 2.0)
     return float(quantile * x.std(ddof=1) / math.sqrt(n))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -447,3 +450,26 @@ class TestCommonBehaviour:
         assert err.startswith("error: out:")
         assert str(tmp_path) in err
         assert stdout == ""
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; nothing at start-up needs it
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, aloha_noma.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
+def test_estimator_bench_where_erfc_is_not_monotone(capsys, tmp_path):
+    # at alpha / M = 0.19227... scipy's erfc flips the rule back and forth
+    # over neighbouring statistics; the run must still decide every test
+    cfg = dict(BENCH_CONFIG, m_values=[1], alphas=[0.1922709564203602], snrs=[1.0])
+    out = tmp_path / "bench.csv"
+    code, _, err = run_cli(
+        capsys, "estimator-bench", write_config(tmp_path, "bench.json", cfg), "--out", str(out)
+    )
+    assert code == 0, err
+    assert len(read_csv(out)[1]) == 1

@@ -1,13 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy import stats as sps
 
+from aloha_noma import estimator
 from aloha_noma.estimator import (
     HypothesisConfig,
+    MonteCarloEstimation,
+    _first_draw,
+    _rejections,
+    _statistic_window,
     bonferroni_threshold,
     estimate_active_count,
     monte_carlo_estimation,
@@ -196,3 +203,133 @@ class TestHypothesisConfigValidation:
     def test_rejects_mismatched_override_length(self):
         with pytest.raises(ValueError):
             config(m=3, per_device_signal=(1.0, 2.0))
+
+
+# shipped configs/estimator_bench.json, one estimator-bench run
+SHIPPED_TRIALS, SHIPPED_SEED = 20000, 7
+MC = MonteCarloEstimation
+nan = math.nan
+
+
+class TestMonteCarloPinned:
+    """Exact results of the p-value rule the estimator used to evaluate per draw."""
+
+    # (M, alpha, snr, null run, active run) in estimator-bench row order
+    CELLS = [
+        (1, 0.01, 3.0, MC(trials=20000, fwer=0.0092, power=nan, mean_estimate=0.0092, mean_abs_error=0.0092), MC(trials=20000, fwer=0.0, power=0.7504, mean_estimate=0.7504, mean_abs_error=0.2496)),
+        (1, 0.01, 5.0, MC(trials=20000, fwer=0.0104, power=nan, mean_estimate=0.0104, mean_abs_error=0.0104), MC(trials=20000, fwer=0.0, power=0.9957, mean_estimate=0.9957, mean_abs_error=0.0043)),
+        (1, 0.01, 10.0, MC(trials=20000, fwer=0.01065, power=nan, mean_estimate=0.01065, mean_abs_error=0.01065), MC(trials=20000, fwer=0.0, power=1.0, mean_estimate=1.0, mean_abs_error=0.0)),
+        (1, 0.05, 3.0, MC(trials=20000, fwer=0.04885, power=nan, mean_estimate=0.04885, mean_abs_error=0.04885), MC(trials=20000, fwer=0.0, power=0.91495, mean_estimate=0.91495, mean_abs_error=0.08505)),
+        (1, 0.05, 5.0, MC(trials=20000, fwer=0.05155, power=nan, mean_estimate=0.05155, mean_abs_error=0.05155), MC(trials=20000, fwer=0.0, power=0.9997, mean_estimate=0.9997, mean_abs_error=0.0003)),
+        (1, 0.05, 10.0, MC(trials=20000, fwer=0.05155, power=nan, mean_estimate=0.05155, mean_abs_error=0.05155), MC(trials=20000, fwer=0.0, power=1.0, mean_estimate=1.0, mean_abs_error=0.0)),
+        (10, 0.01, 3.0, MC(trials=20000, fwer=0.0113, power=nan, mean_estimate=0.0113, mean_abs_error=0.0113), MC(trials=20000, fwer=0.00805, power=0.468875, mean_estimate=0.9458, mean_abs_error=1.0577)),
+        (10, 0.01, 5.0, MC(trials=20000, fwer=0.0108, power=nan, mean_estimate=0.0108, mean_abs_error=0.0108), MC(trials=20000, fwer=0.0087, power=0.9725, mean_estimate=1.95375, mean_abs_error=0.06315)),
+        (10, 0.01, 10.0, MC(trials=20000, fwer=0.0089, power=nan, mean_estimate=0.0089, mean_abs_error=0.0089), MC(trials=20000, fwer=0.0078, power=1.0, mean_estimate=2.00785, mean_abs_error=0.00785)),
+        (10, 0.05, 3.0, MC(trials=20000, fwer=0.0501, power=nan, mean_estimate=0.0514, mean_abs_error=0.0514), MC(trials=20000, fwer=0.03845, power=0.66355, mean_estimate=1.36585, mean_abs_error=0.66905)),
+        (10, 0.05, 5.0, MC(trials=20000, fwer=0.04865, power=nan, mean_estimate=0.04945, mean_abs_error=0.04945), MC(trials=20000, fwer=0.03635, power=0.993, mean_estimate=2.02295, mean_abs_error=0.04985)),
+        (10, 0.05, 10.0, MC(trials=20000, fwer=0.0483, power=nan, mean_estimate=0.04945, mean_abs_error=0.04945), MC(trials=20000, fwer=0.03755, power=1.0, mean_estimate=2.0384, mean_abs_error=0.0384)),
+        (50, 0.01, 3.0, MC(trials=20000, fwer=0.00935, power=nan, mean_estimate=0.00935, mean_abs_error=0.00935), MC(trials=20000, fwer=0.00865, power=0.293515, mean_estimate=2.94385, mean_abs_error=7.05615)),
+        (50, 0.01, 5.0, MC(trials=20000, fwer=0.0093, power=nan, mean_estimate=0.00935, mean_abs_error=0.00935), MC(trials=20000, fwer=0.00715, power=0.927135, mean_estimate=9.27855, mean_abs_error=0.72735)),
+        (50, 0.01, 10.0, MC(trials=20000, fwer=0.0103, power=nan, mean_estimate=0.0103, mean_abs_error=0.0103), MC(trials=20000, fwer=0.0073, power=1.0, mean_estimate=10.00735, mean_abs_error=0.00735)),
+        (50, 0.05, 3.0, MC(trials=20000, fwer=0.04785, power=nan, mean_estimate=0.0493, mean_abs_error=0.0493), MC(trials=20000, fwer=0.04165, power=0.46375, mean_estimate=4.6799, mean_abs_error=5.3203)),
+        (50, 0.05, 5.0, MC(trials=20000, fwer=0.04595, power=nan, mean_estimate=0.04695, mean_abs_error=0.04695), MC(trials=20000, fwer=0.03705, power=0.97155, mean_estimate=9.7536, mean_abs_error=0.3022)),
+        (50, 0.05, 10.0, MC(trials=20000, fwer=0.0503, power=nan, mean_estimate=0.0516, mean_abs_error=0.0516), MC(trials=20000, fwer=0.0392, power=1.0, mean_estimate=10.03995, mean_abs_error=0.03995)),
+    ]
+
+    def test_shipped_cells(self):
+        for row, (m, alpha, snr, null, active) in enumerate(self.CELLS):
+            cfg = config(m=m, alpha=alpha, mean_signal=snr)
+            k = max(1, round(0.2 * m))
+            seed = SHIPPED_SEED + 2 * row
+            assert repr(monte_carlo_estimation([], cfg, SHIPPED_TRIALS, seed)) == repr(null)
+            got = monte_carlo_estimation(range(k), cfg, SHIPPED_TRIALS, seed + 1)
+            assert repr(got) == repr(active)
+
+    def test_per_device_signal(self):
+        cfg = config(m=8, per_device_signal=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0))
+        got = monte_carlo_estimation([0, 2, 3, 5, 7], cfg, 5000, seed=11)
+        assert repr(got) == repr(MC(trials=5000, fwer=0.016, power=0.7422, mean_estimate=3.727, mean_abs_error=1.275))
+
+    def test_noise_sigma_other_than_one(self):
+        cfg = config(m=20, alpha=0.03, mean_signal=1.5, noise_sigma=0.37)
+        got = monte_carlo_estimation(range(4), cfg, 5000, seed=5)
+        assert repr(got) == repr(MC(trials=5000, fwer=0.0254, power=0.8592, mean_estimate=3.4626, mean_abs_error=0.5674))
+
+
+def p_value_rule(z, mean, cfg):
+    """The Monte Carlo's former per-draw decision, elementwise."""
+    statistics = mean + cfg.noise_sigma * np.asarray(z, dtype=float)
+    scaled = statistics / (cfg.noise_sigma * math.sqrt(2.0))
+    return 0.5 * special.erfc(scaled) <= bonferroni_threshold(cfg.alpha, cfg.m)
+
+
+def draw_window(mean, cfg):
+    """Draws bounding where a column with this mean needs the rule itself."""
+    return tuple(_first_draw(x, mean, cfg.noise_sigma) for x in _statistic_window(cfg))
+
+
+def neighbours(x, count=64):
+    """x and its ``count`` nearest floats on each side."""
+    out = [x]
+    up = down = x
+    for _ in range(count):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+class TestDrawWindow:
+    @settings(deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        # small M more often: its level alpha / M can reach the statistics
+        # below 1 where scipy's erfc is not monotone in its last bit
+        st.one_of(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=200)),
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_window_rule_matches_p_value_rule(self, alpha, m, sigma, mean, seed):
+        cfg = config(m=m, alpha=alpha, noise_sigma=sigma)
+        lower, upper = draw_window(mean, cfg)
+        assert lower <= upper
+        random_draws = np.random.default_rng(seed).standard_normal(256)
+        draws = np.concatenate([neighbours(lower), neighbours(upper), random_draws])
+        decided = _rejections(draws[:, None], np.array([mean]), cfg)[:, 0]
+        np.testing.assert_array_equal(decided, p_value_rule(draws, mean, cfg))
+
+    @pytest.mark.parametrize(
+        "alpha, m, sigma, mean",
+        [
+            (0.1922709564203602, 1, 1.0, 0.0),
+            (0.3171434742453542, 2, 0.37, 0.5),
+            (0.4191443221358243, 3, 2.0, 1.0),
+        ],
+    )
+    def test_window_where_erfc_is_not_monotone(self, alpha, m, sigma, mean):
+        # scipy's erfc steps up by one bit between some neighbouring
+        # statistics below 1, so these rules get a window of draws that
+        # the rule itself decides
+        cfg = config(m=m, alpha=alpha, noise_sigma=sigma)
+        lower, upper = draw_window(mean, cfg)
+        draws = np.array(neighbours(lower, 8))
+        flags = p_value_rule(draws, mean, cfg)
+        inside = (draws >= lower) & (draws < upper)
+        assert inside.any()
+        assert not flags[draws < lower].any() and flags[draws >= upper].all()
+        decided = _rejections(draws[:, None], np.array([mean]), cfg)[:, 0]
+        np.testing.assert_array_equal(decided, flags)
+
+    def test_window_at_the_textbook_quantile(self):
+        # silent device, sigma 1: reject iff z >= Phi^-1(1 - alpha/M)
+        lower, upper = draw_window(0.0, config(m=50, alpha=0.05))
+        assert lower == upper == pytest.approx(3.090232306167813, abs=1e-9)
+
+    def test_far_flips_are_an_internal_error(self, monkeypatch):
+        def jittery_erfc(x):
+            x = np.asarray(x, dtype=float)
+            return special.erfc(x) * np.where(x.view(np.int64) % 2 == 0, 1.0, 1.0 + 1e-6)
+
+        monkeypatch.setattr(estimator, "special", SimpleNamespace(erfc=jittery_erfc))
+        with pytest.raises(RuntimeError, match="alpha=0.05, M=50, noise_sigma=1.0"):
+            _statistic_window(config())

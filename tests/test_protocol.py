@@ -250,6 +250,33 @@ class TestRunFrame:
                     assert d.tx_power_dbm == before[d.device_id]
 
 
+
+class TestInfinitePayloadPowers:
+    # 3000 dB lifts the louder devices past about 3082.5 dBm, where their
+    # mW powers overflow to infinity
+    OFFSET = 3000.0
+
+    def run(self, seed, offset):
+        powers = [60.0, 66.0, 72.0, 80.0, 90.0, 100.0]
+        devs = [
+            DeviceState(i, has_data=True, tx_power_dbm=p + offset) for i, p in enumerate(powers)
+        ]
+        sic = SicModel(degree=6, mode=SicMode.POWER_AWARE, noise_floor_dbm=-30.0 + offset)
+        result = run_frame(
+            devs, FrameSchedule(), strong_config(), sic, BackoffPolicy(), seed=seed
+        )
+        return result, [d.tx_power_dbm - offset for d in devs]
+
+    def test_frame_decides_as_without_offset(self):
+        successes = set()
+        for seed in range(40):
+            result, powers = self.run(seed, 0.0)
+            assert self.run(seed, self.OFFSET) == (result, powers)
+            successes.add(result.payload_successes)
+        # the back-off draws give frames that decode none and several counts
+        assert 0 in successes and len(successes) > 2
+
+
 class TestRunSession:
     def run_args(self):
         return dict(

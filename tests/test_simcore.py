@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -272,6 +273,54 @@ class TestPowerOverflow:
         assert resolve_sic(txs, self.MODEL) == [True, True]
         txs = packets(0.0, 0.5, powers=[3082.5, 0.0])
         assert resolve_sic(txs, self.MODEL) == [True, True]
+
+
+
+class TestInfinitePowers:
+    # 3000 dB lifts every packet above 82.5 dBm past the mW overflow
+    OFFSET = 3000.0
+
+    def offset(self, txs, sic):
+        shifted = [
+            Transmission(t.device_id, t.start_time, t.duration, t.rx_power_dbm + self.OFFSET)
+            for t in txs
+        ]
+        return shifted, replace(sic, noise_floor_dbm=sic.noise_floor_dbm + self.OFFSET)
+
+    def test_close_pair_jams_as_without_offset(self):
+        model = SicModel(degree=2, mode=SicMode.POWER_AWARE)
+        txs = packets(0.0, 0.0, powers=[82.6, 82.5])
+        assert resolve_sic(txs, model) == [False, False]
+        assert resolve_sic(*self.offset(txs, model)) == [False, False]
+
+    def test_noise_floor_far_below_still_counts(self):
+        # relative to the 4000 dBm packet, the -100 dBm one and the noise
+        # floor both round to zero; the weaker one must still fail
+        model = SicModel(degree=2, mode=SicMode.POWER_AWARE)
+        assert resolve_sic(packets(0.0, 0.0, powers=[4000.0, -100.0]), model) == [True, False]
+        assert resolve_sic(packets(0.0, 0.0, powers=[4000.0, -20.0]), model) == [True, True]
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 3.0)),
+                # quarter decibels, so the offset adds exactly
+                st.integers(-1200, 1200).map(lambda q: q / 4.0),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(1, 8),
+        st.sampled_from([-3.0, 0.0, 6.0]),
+    )
+    def test_cluster_decides_as_without_offset(self, rows, degree, threshold_db):
+        txs = packets(*[s for s, _ in rows], powers=[p for _, p in rows])
+        model = SicModel(degree, SicMode.POWER_AWARE, capture_threshold_db=threshold_db)
+        expected, margin = exact_power_chain(txs, model)
+        assume(margin > 1e-9)
+        assert resolve_sic(txs, model) == expected
+        assert resolve_sic(*self.offset(txs, model)) == expected
 
 
 class TestRunSimulation:
