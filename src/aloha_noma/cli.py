@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -38,8 +39,51 @@ class ConfigError(ValueError):
     """Invalid command arguments or config file; message names the field."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+# A config field is (JSON key, constructor argument, type, default); the
+# _REQUIRED default makes the key mandatory.
+_REQUIRED = object()
+SIC_FIELDS = (
+    ("degree", "degree", int, 1),
+    ("mode", "mode", simcore.SicMode, simcore.SicMode.IDEAL),
+    ("capture_threshold_db", "capture_threshold_db", float, 6.0),
+    ("noise_floor_dbm", "noise_floor_dbm", float, -30.0),
+)
+SIM_FIELDS = (
+    ("offered_load_g", "offered_load_g", float, _REQUIRED),
+    ("packet_duration_s", "packet_duration", float, 1.0),
+    ("horizon_s", "horizon", float, _REQUIRED),
+    ("warmup_s", "warmup", float, 0.0),
+    ("base_power_dbm", "base_power_dbm", float, 0.0),
+    ("shadowing_sigma_db", "shadowing_sigma_db", float, 0.0),
+)
+SCHEDULE_FIELDS = (
+    ("beacon_s", "beacon", float, 1.0),
+    ("estimation_s", "estimation", float, 1.0),
+    ("broadcast_s", "broadcast", float, 1.0),
+    ("payload_s", "payload", float, 96.0),
+    ("ack_s", "ack", float, 1.0),
+)
+# the candidate count "m" defaults to the device count, so each session adds it
+HYPOTHESIS_FIELDS = (
+    ("alpha", "alpha", float, 0.05),
+    ("mean_signal", "mean_signal", float, 5.0),
+    ("noise_sigma", "noise_sigma", float, 1.0),
+)
+BACKOFF_FIELDS = (
+    ("delta_db", "delta_db", float, 2.0),
+    ("slight_increase_db", "slight_increase_db", float, 1.0),
+)
+# one estimator-bench cell, read from a copy of the config holding one entry of each list
+BENCH_CELL_FIELDS = (
+    ("m_values", "m_values", int, _REQUIRED),
+    ("alphas", "alphas", float, _REQUIRED),
+    ("snrs", "snrs", float, _REQUIRED),
+)
+
+
+def _cell(value: Any) -> str:
+    """One CSV cell: ints and bools as integers, floats to 12 significant digits."""
+    return str(int(value)) if isinstance(value, int) else format(float(value), ".12g")
 
 
 def _check_out_path(out: Path) -> None:
@@ -61,16 +105,20 @@ def _check_append(path: Path, header: str) -> None:
         )
 
 
-def _write_csv(path: Path, header: str, rows: list[str], timestamp: bool, append: bool) -> None:
+def _write_csv(
+    args: argparse.Namespace, header: str, records: list[dict[str, Any]], append: bool = False
+) -> None:
+    """Write one row per record, its cells in the header's column order."""
+    path = args.out
     lines: list[str] = []
     exists = append and path.exists() and path.stat().st_size > 0
     if not exists:
-        if timestamp:
+        if not args.no_timestamp:
             lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
         lines.append(header)
-    lines.extend(rows)
-    mode = "a" if exists else "w"
-    with path.open(mode, encoding="utf-8") as fh:
+    columns = header.split(",")
+    lines.extend(",".join([_cell(record[c]) for c in columns]) for record in records)
+    with path.open("a" if exists else "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -93,49 +141,56 @@ def _load_config(path: str) -> dict[str, Any]:
 
 
 def _get(
-    cfg: dict[str, Any],
-    key: str,
-    kind: type,
-    default: Any = None,
-    required: bool = False,
+    raw: dict[str, Any], key: str, kind: type, default: Any = _REQUIRED, prefix: str = ""
 ) -> Any:
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"{key}: missing required field")
+    """``raw[key]`` checked against ``kind``; errors name ``prefix + key``."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"{prefix}{key}: missing required field")
         return default
-    value = cfg[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+    value = raw[key]
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:  # past float range: non-finite, as a finiteness check expects
+            value = math.inf if value > 0 else -math.inf
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            names = " or ".join(repr(member.value) for member in kind)
+            raise ConfigError(f"{prefix}{key}: expected {names}, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{prefix}{key}: expected {kind.__name__}, got {value!r}")
     return value
 
 
-def _sic_from_config(cfg: dict[str, Any]) -> simcore.SicModel:
-    raw = cfg.get("sic", {})
+def _build(
+    ctor: Callable[..., Any],
+    cfg: dict[str, Any],
+    section: str,
+    fields: tuple[tuple[str, str, type, Any], ...],
+    **fixed: Any,
+) -> Any:
+    """``ctor`` called with the fields read from ``cfg[section]`` (``cfg``
+    itself for section "") plus ``fixed``; its ValueError becomes a
+    ConfigError under the section prefix."""
+    raw = cfg.get(section, {}) if section else cfg
     if not isinstance(raw, dict):
-        raise ConfigError("sic: expected an object")
-    degree = _get(raw, "degree", int, default=1)
-    mode_name = _get(raw, "mode", str, default="ideal")
+        raise ConfigError(f"{section}: expected an object")
+    prefix = f"{section}." if section else ""
+    kwargs = {arg: _get(raw, key, kind, default, prefix) for key, arg, kind, default in fields}
     try:
-        mode = simcore.SicMode(mode_name)
-    except ValueError:
-        raise ConfigError(
-            f"sic.mode: expected 'ideal' or 'power_aware', got {mode_name!r}"
-        ) from None
-    try:
-        return simcore.SicModel(
-            degree=degree,
-            mode=mode,
-            capture_threshold_db=_get(raw, "capture_threshold_db", float, default=6.0),
-            noise_floor_dbm=_get(raw, "noise_floor_dbm", float, default=-30.0),
-        )
+        return ctor(**kwargs, **fixed)
     except ValueError as exc:
-        raise ConfigError(f"sic.{exc}") from exc
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _seeds(args: argparse.Namespace, cfg_seed: int) -> list[int]:
+def _seeds(args: argparse.Namespace, cfg: dict[str, Any]) -> list[int]:
+    cfg_seed = _get(cfg, "seed", int, 0)
     base = args.seed if args.seed is not None else cfg_seed
+    if base < 0:
+        raise ConfigError(f"seed: must be >= 0, got {base}")
     if args.replications < 1:
         raise ConfigError(f"replications: must be >= 1, got {args.replications}")
     return [base + k for k in range(args.replications)]
@@ -152,34 +207,34 @@ def cmd_analytic_max(args: argparse.Namespace) -> int:
     if not (0.0 < args.tol <= 1e-3):
         raise ConfigError(f"--tol: must be in (0, 1e-3], got {args.tol}")
     _single_replication(args, "analytic-max")
-    out = Path(args.out)
-    rows = []
-    results = []
+    records = []
     for n in range(1, args.n_max + 1):
         try:
             res = analytic.max_throughput(n, tol=args.tol)
         except analytic.BracketingError as exc:
             print(f"error: optimizer failed at N={n}: {exc}", file=sys.stderr)
             return 1
-        results.append(res)
-        rows.append(
-            f"{n},{_fmt(res.g_star)},{_fmt(res.s_max)},{_fmt(res.derivative_residual)}"
+        records.append(
+            {"N": n, "G_star": res.g_star, "S_max": res.s_max,
+             "deriv_residual": res.derivative_residual}
         )
-    _write_csv(out, ANALYTIC_MAX_HEADER, rows, timestamp=not args.no_timestamp, append=False)
-    last = results[-1]
+    _write_csv(args, ANALYTIC_MAX_HEADER, records)
+    last = records[-1]
     _emit_summary(
         {
             "command": "analytic-max",
             "n_max": args.n_max,
-            "out": str(out),
-            "rows": len(rows),
-            "last": {"N": last.degree, "G_star": last.g_star, "S_max": last.s_max},
+            "out": str(args.out),
+            "rows": len(records),
+            "last": {"N": last["N"], "G_star": last["G_star"], "S_max": last["S_max"]},
         }
     )
     return 0
 
 
 def cmd_analytic_curve(args: argparse.Namespace) -> int:
+    if args.degree < 1:
+        raise ConfigError(f"degree: must be >= 1, got {args.degree}")
     for flag, value in (("--g-min", args.g_min), ("--g-max", args.g_max)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag}: must be finite, got {value}")
@@ -194,15 +249,13 @@ def cmd_analytic_curve(args: argparse.Namespace) -> int:
     _single_replication(args, "analytic-curve")
     grid = np.linspace(args.g_min, args.g_max, args.points)
     curve = analytic.throughput_curve(args.degree, grid.tolist())
-    rows = [f"{_fmt(p.g)},{_fmt(p.s)}" for p in curve.points]
-    out = Path(args.out)
-    _write_csv(out, ANALYTIC_CURVE_HEADER, rows, timestamp=not args.no_timestamp, append=False)
+    _write_csv(args, ANALYTIC_CURVE_HEADER, [{"G": p.g, "S": p.s} for p in curve.points])
     peak = max(curve.points, key=lambda p: p.s)
     _emit_summary(
         {
             "command": "analytic-curve",
             "N": args.degree,
-            "out": str(out),
+            "out": str(args.out),
             "points": len(curve.points),
             "peak": {"G": peak.g, "S": peak.s},
         }
@@ -210,39 +263,17 @@ def cmd_analytic_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sim_config_from_file(cfg: dict[str, Any], seed: int) -> simcore.SimConfig:
-    try:
-        return simcore.SimConfig(
-            offered_load_g=_get(cfg, "offered_load_g", float, required=True),
-            packet_duration=_get(cfg, "packet_duration_s", float, default=1.0),
-            horizon=_get(cfg, "horizon_s", float, required=True),
-            sic=_sic_from_config(cfg),
-            seed=seed,
-            warmup=_get(cfg, "warmup_s", float, default=0.0),
-            base_power_dbm=_get(cfg, "base_power_dbm", float, default=0.0),
-            shadowing_sigma_db=_get(cfg, "shadowing_sigma_db", float, default=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    seeds = _seeds(args, _get(cfg, "seed", int, default=0))
-    configs = [_sim_config_from_file(cfg, seed) for seed in seeds]
-    out = Path(args.out)
-    _check_append(out, SIMULATE_HEADER)
+    seeds = _seeds(args, cfg)
+    sic = _build(simcore.SicModel, cfg, "sic", SIC_FIELDS)
+    configs = [_build(simcore.SimConfig, cfg, "", SIM_FIELDS, sic=sic, seed=s) for s in seeds]
+    _check_append(args.out, SIMULATE_HEADER)
 
-    rows = []
     records = []
     for config in configs:
         print(f"simulate: seed={config.seed}", file=sys.stderr)
         stats = simcore.run_simulation(config)
-        rows.append(
-            f"{config.seed},{stats.offered},{stats.succeeded},"
-            f"{_fmt(stats.normalized_throughput)},{_fmt(stats.confidence_half_width)},"
-            f"{_fmt(stats.mean_concurrency)},{int(stats.degenerate)}"
-        )
         records.append(
             {
                 "seed": config.seed,
@@ -254,11 +285,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "degenerate": stats.degenerate,
             }
         )
-    _write_csv(out, SIMULATE_HEADER, rows, timestamp=not args.no_timestamp, append=True)
+    _write_csv(args, SIMULATE_HEADER, records, append=True)
 
     summary: dict[str, Any] = {
         "command": "simulate",
-        "out": str(out),
+        "out": str(args.out),
         "replications": args.replications,
         "seeds": seeds,
         "records": records,
@@ -266,9 +297,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             np.mean([r["normalized_throughput"] for r in records])
         ),
     }
-    first = configs[0]
-    if first.sic.mode is simcore.SicMode.IDEAL:
-        reference = analytic.throughput(first.offered_load_g, first.sic.degree)
+    if sic.mode is simcore.SicMode.IDEAL:
+        reference = analytic.throughput(configs[0].offered_load_g, sic.degree)
         summary["analytic_throughput"] = reference
         summary["ratio_to_analytic"] = (
             summary["mean_throughput"] / reference if reference > 0 else None
@@ -277,77 +307,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _frame_session_inputs(
-    cfg: dict[str, Any],
-) -> tuple[int, int, float, protocol.FrameSchedule, estimator.HypothesisConfig, simcore.SicModel, protocol.BackoffPolicy, float]:
-    frames = _get(cfg, "frames", int, required=True)
+def cmd_frame_session(args: argparse.Namespace) -> int:
+    cfg = _load_config(args.config)
+    frames = _get(cfg, "frames", int)
     if frames < 1:
         raise ConfigError(f"frames: must be >= 1, got {frames}")
-    device_count = _get(cfg, "devices", int, required=True)
+    device_count = _get(cfg, "devices", int)
     if device_count < 1:
         raise ConfigError(f"devices: must be >= 1, got {device_count}")
-    activation = _get(cfg, "activation_probability", float, required=True)
+    activation = _get(cfg, "activation_probability", float)
     if not (0.0 <= activation <= 1.0):
         raise ConfigError(f"activation_probability: must be in [0, 1], got {activation}")
-
-    sched_raw = cfg.get("schedule", {})
-    if not isinstance(sched_raw, dict):
-        raise ConfigError("schedule: expected an object")
-    try:
-        schedule = protocol.FrameSchedule(
-            beacon=_get(sched_raw, "beacon_s", float, default=1.0),
-            estimation=_get(sched_raw, "estimation_s", float, default=1.0),
-            broadcast=_get(sched_raw, "broadcast_s", float, default=1.0),
-            payload=_get(sched_raw, "payload_s", float, default=96.0),
-            ack=_get(sched_raw, "ack_s", float, default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"schedule.{exc}") from exc
-
-    hyp_raw = cfg.get("hypothesis", {})
-    if not isinstance(hyp_raw, dict):
-        raise ConfigError("hypothesis: expected an object")
-    try:
-        hyp = estimator.HypothesisConfig(
-            m=_get(hyp_raw, "m", int, default=max(device_count, 1)),
-            alpha=_get(hyp_raw, "alpha", float, default=0.05),
-            mean_signal=_get(hyp_raw, "mean_signal", float, default=5.0),
-            noise_sigma=_get(hyp_raw, "noise_sigma", float, default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"hypothesis.{exc}") from exc
+    schedule = _build(protocol.FrameSchedule, cfg, "schedule", SCHEDULE_FIELDS)
+    hyp = _build(
+        estimator.HypothesisConfig, cfg, "hypothesis",
+        (("m", "m", int, device_count), *HYPOTHESIS_FIELDS),
+    )
     if device_count > hyp.m:
         raise ConfigError(
             f"devices: count {device_count} exceeds hypothesis.m = {hyp.m}"
         )
+    policy = _build(protocol.BackoffPolicy, cfg, "backoff", BACKOFF_FIELDS)
+    power0 = _get(cfg, "initial_power_dbm", float, 0.0)
+    if not math.isfinite(power0):
+        raise ConfigError(f"initial_power_dbm: must be finite, got {power0}")
+    sic = _build(simcore.SicModel, cfg, "sic", SIC_FIELDS)
+    seeds = _seeds(args, cfg)
+    _check_append(args.out, FRAME_SESSION_HEADER)
 
-    back_raw = cfg.get("backoff", {})
-    if not isinstance(back_raw, dict):
-        raise ConfigError("backoff: expected an object")
-    try:
-        policy = protocol.BackoffPolicy(
-            delta_db=_get(back_raw, "delta_db", float, default=2.0),
-            slight_increase_db=_get(back_raw, "slight_increase_db", float, default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"backoff.{exc}") from exc
-
-    initial_power = _get(cfg, "initial_power_dbm", float, default=0.0)
-    if not math.isfinite(initial_power):
-        raise ConfigError(f"initial_power_dbm: must be finite, got {initial_power}")
-    return frames, device_count, activation, schedule, hyp, _sic_from_config(cfg), policy, initial_power
-
-
-def cmd_frame_session(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    frames, device_count, activation, schedule, hyp, sic, policy, power0 = (
-        _frame_session_inputs(cfg)
-    )
-    seeds = _seeds(args, _get(cfg, "seed", int, default=0))
-    out = Path(args.out)
-    _check_append(out, FRAME_SESSION_HEADER)
-
-    rows = []
     records = []
     for seed in seeds:
         print(f"frame-session: seed={seed}", file=sys.stderr)
@@ -358,25 +345,10 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
         stats = protocol.run_session(
             frames, activation, devices, schedule, hyp, sic, policy, seed
         )
-        rows.append(
-            f"{seed},{stats.frames},{_fmt(stats.mean_estimated_count)},"
-            f"{_fmt(stats.mean_true_active)},{_fmt(stats.mean_abs_estimation_error)},"
-            f"{_fmt(stats.mean_payload_successes)},{_fmt(stats.mean_raw_throughput)},"
-            f"{_fmt(stats.mean_effective_throughput)}"
-        )
-        records.append(
-            {
-                "seed": seed,
-                "frames": stats.frames,
-                "mean_estimated_count": stats.mean_estimated_count,
-                "mean_true_active": stats.mean_true_active,
-                "mean_abs_estimation_error": stats.mean_abs_estimation_error,
-                "mean_payload_successes": stats.mean_payload_successes,
-                "mean_raw_throughput": stats.mean_raw_throughput,
-                "mean_effective_throughput": stats.mean_effective_throughput,
-            }
-        )
-    _write_csv(out, FRAME_SESSION_HEADER, rows, timestamp=not args.no_timestamp, append=True)
+        # every column after the seed is the SessionStats field of that name
+        columns = FRAME_SESSION_HEADER.split(",")
+        records.append({c: seed if c == "seed" else getattr(stats, c) for c in columns})
+    _write_csv(args, FRAME_SESSION_HEADER, records, append=True)
     if schedule.overhead >= schedule.payload:
         print(
             "warning: overhead-dominated schedule; effective throughput is "
@@ -386,7 +358,7 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
     _emit_summary(
         {
             "command": "frame-session",
-            "out": str(out),
+            "out": str(args.out),
             "replications": args.replications,
             "seeds": seeds,
             "records": records,
@@ -396,55 +368,57 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
     return 0
 
 
+# HypothesisConfig's errors start with the argument name; the bench names its list
+_BENCH_LISTS = {"m": "m_values", "alpha": "alphas", "mean_signal": "snrs"}
+
+
+def _bench_cell(
+    m_values: int, alphas: float, snrs: float, noise_sigma: float
+) -> tuple[float, estimator.HypothesisConfig]:
+    """The snr and hypothesis setup of one estimator-bench cell, with mean
+    signal snr * noise_sigma; an error names the list of the bad entry."""
+    try:
+        return snrs, estimator.HypothesisConfig(m_values, alphas, snrs * noise_sigma, noise_sigma)
+    except ValueError as exc:
+        raise ValueError(f"{_BENCH_LISTS[str(exc).split(':')[0]]}: {exc}") from None
+
+
 def cmd_estimator_bench(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     _single_replication(args, "estimator-bench")
-    m_values = _get(cfg, "m_values", list, required=True)
-    alphas = _get(cfg, "alphas", list, required=True)
-    snrs = _get(cfg, "snrs", list, required=True)
-    trials = _get(cfg, "trials", int, default=20000)
+    m_values, alphas, snrs = (_get(cfg, key, list) for key in ("m_values", "alphas", "snrs"))
+    trials = _get(cfg, "trials", int, 20000)
     if trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {trials}")
-    noise_sigma = _get(cfg, "noise_sigma", float, default=1.0)
-    active_fraction = _get(cfg, "active_fraction", float, default=0.2)
+    noise_sigma = _get(cfg, "noise_sigma", float, 1.0)
+    if not (0.0 < noise_sigma < math.inf):
+        raise ConfigError(f"noise_sigma: must be finite and > 0, got {noise_sigma}")
+    active_fraction = _get(cfg, "active_fraction", float, 0.2)
     if not (0.0 < active_fraction <= 1.0):
         raise ConfigError(f"active_fraction: must be in (0, 1], got {active_fraction}")
-    base_seed = args.seed if args.seed is not None else _get(cfg, "seed", int, default=0)
+    base_seed = _seeds(args, cfg)[0]
+    cells = [
+        _build(_bench_cell, {"m_values": m, "alphas": alpha, "snrs": snr}, "",
+               BENCH_CELL_FIELDS, noise_sigma=noise_sigma)
+        for m in m_values for alpha in alphas for snr in snrs
+    ]
 
-    rows = []
-    row_index = 0
-    for m in m_values:
-        if not isinstance(m, int) or m < 1:
-            raise ConfigError(f"m_values: entries must be integers >= 1, got {m!r}")
-        for alpha in alphas:
-            for snr in snrs:
-                if not (float(snr) > 0.0):
-                    raise ConfigError(f"snrs: entries must be > 0, got {snr!r}")
-                hyp = estimator.HypothesisConfig(
-                    m=m,
-                    alpha=float(alpha),
-                    mean_signal=float(snr) * noise_sigma,
-                    noise_sigma=noise_sigma,
-                )
-                active_count = max(1, round(active_fraction * m))
-                null_run = estimator.monte_carlo_estimation(
-                    [], hyp, trials, seed=base_seed + 2 * row_index
-                )
-                active_run = estimator.monte_carlo_estimation(
-                    range(active_count), hyp, trials, seed=base_seed + 2 * row_index + 1
-                )
-                rows.append(
-                    f"{m},{_fmt(alpha)},{_fmt(snr)},{_fmt(null_run.fwer)},"
-                    f"{_fmt(active_run.power)},{_fmt(active_run.mean_abs_error)}"
-                )
-                row_index += 1
-    out = Path(args.out)
-    _write_csv(out, ESTIMATOR_BENCH_HEADER, rows, timestamp=not args.no_timestamp, append=False)
+    records = []
+    for row_index, (snr, hyp) in enumerate(cells):
+        active = range(max(1, round(active_fraction * hyp.m)))
+        seed = base_seed + 2 * row_index
+        null_run = estimator.monte_carlo_estimation([], hyp, trials, seed=seed)
+        active_run = estimator.monte_carlo_estimation(active, hyp, trials, seed=seed + 1)
+        records.append(
+            {"M": hyp.m, "alpha": hyp.alpha, "snr": snr, "fwer": null_run.fwer,
+             "power": active_run.power, "mean_abs_error": active_run.mean_abs_error}
+        )
+    _write_csv(args, ESTIMATOR_BENCH_HEADER, records)
     _emit_summary(
         {
             "command": "estimator-bench",
-            "out": str(out),
-            "rows": len(rows),
+            "out": str(args.out),
+            "rows": len(records),
             "trials": trials,
             "seed": base_seed,
         }
@@ -459,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="base random seed")
-    common.add_argument("--out", required=True, help="output CSV path")
+    common.add_argument("--out", type=Path, required=True, help="output CSV path")
     common.add_argument(
         "--replications",
         type=int,
@@ -510,12 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    func: Callable[[argparse.Namespace], int] = args.func
+    args = build_parser().parse_args(argv)
     try:
-        _check_out_path(Path(args.out))
-        return func(args)
+        _check_out_path(args.out)
+        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

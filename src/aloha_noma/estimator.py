@@ -268,8 +268,10 @@ def monte_carlo_estimation(
     ``fwer`` is the fraction of trials with at least one false rejection;
     ``power`` the mean detection rate over truly active devices (NaN when
     none are active).  With trials = 1 the draw matches
-    ``simulate_estimation_round(true_active, config, seed)`` exactly.  The
-    tests are decided on the draws by ``_rejections``.
+    ``simulate_estimation_round(true_active, config, seed)`` exactly, but a
+    draw within a few floats of the threshold can be decided differently:
+    the tests are decided on the draws by ``_rejections`` with scipy's
+    ``erfc``, and ``estimate_active_count`` uses ``math.erfc``.
     """
     if operator.index(trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -473,3 +473,169 @@ def test_estimator_bench_where_erfc_is_not_monotone(capsys, tmp_path):
     )
     assert code == 0, err
     assert len(read_csv(out)[1]) == 1
+
+
+# Small runs of every command whose --no-timestamp CSV bytes and stdout
+# (output path written as OUT) are pinned in tests/data/cli_outputs.json.
+PINNED_RUNS = {
+    "analytic-max": (["analytic-max", "6"], None),
+    "analytic-curve": (
+        ["analytic-curve", "3", "--g-min", "0.25", "--g-max", "4.25", "--points", "17"], None
+    ),
+    "simulate-ideal": (
+        ["simulate", "--replications", "2"],
+        {"offered_load_g": 0.8, "horizon_s": 3000.0, "warmup_s": 10.0, "seed": 4,
+         "sic": {"degree": 2}},
+    ),
+    "simulate-power": (
+        ["simulate"],
+        {"offered_load_g": 1.5, "horizon_s": 3000.0, "seed": 11, "base_power_dbm": 10.0,
+         "shadowing_sigma_db": 6.0,
+         "sic": {"degree": 4, "mode": "power_aware", "capture_threshold_db": 3.0,
+                 "noise_floor_dbm": -40.0}},
+    ),
+    "frame-session-ideal": (
+        ["frame-session"],
+        {"frames": 40, "devices": 8, "activation_probability": 0.3, "seed": 5,
+         "hypothesis": {"m": 8, "mean_signal": 6.0}, "sic": {"degree": 3}},
+    ),
+    "frame-session-power": (
+        ["frame-session", "--replications", "2"],
+        {"frames": 40, "devices": 8, "activation_probability": 0.3, "seed": 5,
+         "initial_power_dbm": 3.0, "hypothesis": {"m": 8, "mean_signal": 6.0},
+         "sic": {"degree": 3, "mode": "power_aware"}, "backoff": {"delta_db": 1.5}},
+    ),
+    # the integer snr 10**13 pins the .12g cell format (1e+13)
+    "estimator-bench": (
+        ["estimator-bench"],
+        {"m_values": [1, 6], "alphas": [0.05, 0.2], "snrs": [3, 10000000000000],
+         "trials": 300, "active_fraction": 0.5, "noise_sigma": 0.5, "seed": 8},
+    ),
+}
+
+
+def run_pinned(capsys, tmp_path, name):
+    argv, config = PINNED_RUNS[name]
+    if config is not None:
+        argv = [argv[0], write_config(tmp_path, "pinned.json", config), *argv[1:]]
+    out = tmp_path / "pinned.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out), "--no-timestamp")
+    assert code == 0, err
+    return out.read_bytes().decode("utf-8"), stdout.replace(str(out), "OUT")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_outputs_match_pinned_bytes(capsys, tmp_path, name):
+    pinned = json.loads(
+        (Path(__file__).parent / "data" / "cli_outputs.json").read_text(encoding="utf-8")
+    )
+    assert run_pinned(capsys, tmp_path, name) == (pinned[name]["csv"], pinned[name]["stdout"])
+
+
+# Base configs for the odd-value sweep: small runs that touch every key,
+# power-aware so the SINR fields are checked too.
+ODD_VALUE_BASES = {
+    "simulate": {
+        "offered_load_g": 0.5, "packet_duration_s": 1.0, "horizon_s": 2000.0, "warmup_s": 10.0,
+        "seed": 1, "base_power_dbm": 0.0, "shadowing_sigma_db": 3.0,
+        "sic": {"degree": 2, "mode": "power_aware", "capture_threshold_db": 6.0,
+                "noise_floor_dbm": -30.0},
+    },
+    "frame-session": {
+        "frames": 5, "devices": 4, "activation_probability": 0.5, "seed": 1,
+        "initial_power_dbm": 0.0,
+        "schedule": {"beacon_s": 1.0, "estimation_s": 1.0, "broadcast_s": 1.0,
+                     "payload_s": 96.0, "ack_s": 1.0},
+        "hypothesis": {"m": 4, "alpha": 0.05, "mean_signal": 5.0, "noise_sigma": 1.0},
+        "sic": {"degree": 2, "mode": "power_aware", "capture_threshold_db": 6.0,
+                "noise_floor_dbm": -30.0},
+        "backoff": {"delta_db": 2.0, "slight_increase_db": 1.0},
+    },
+    "estimator-bench": {
+        "m_values": [1, 3], "alphas": [0.05], "snrs": [3.0], "trials": 50,
+        "active_fraction": 0.2, "noise_sigma": 1.0, "seed": 1,
+    },
+}
+# Large valid values (horizon_s 1e12, frames 1e7, ...) are left out on
+# purpose: they pass validation but need unbounded memory or time.
+ODD_VALUES = [True, "x", None, [], -1, math.nan, -math.inf]
+
+
+def config_paths(config):
+    """Every key path of a config: top-level keys, section keys, list entries."""
+    for key, value in config.items():
+        yield (key,)
+        if isinstance(value, dict):
+            yield from ((key, sub) for sub in value)
+        elif isinstance(value, list):
+            yield (key, 0)
+
+
+def substituted(config, path, value):
+    copy = json.loads(json.dumps(config))
+    target = copy
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return copy
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        pytest.param(
+            command, path, value, id=f"{command}-{'.'.join(map(str, path))}={json.dumps(value)}"
+        )
+        for command, base in ODD_VALUE_BASES.items()
+        for path in config_paths(base)
+        for value in ODD_VALUES
+    ],
+)
+def test_every_config_value_runs_or_exits_2(capsys, tmp_path, command, path, value):
+    cfg = write_config(tmp_path, "odd.json", substituted(ODD_VALUE_BASES[command], path, value))
+    out = tmp_path / "odd.csv"
+    code, _, err = run_cli(capsys, command, cfg, "--out", str(out), "--no-timestamp")
+    assert code in (0, 2), err
+    if code == 2:
+        field = next(p for p in reversed(path) if isinstance(p, str)).removesuffix("_s")
+        assert err.startswith("error: ") and field in err.splitlines()[0], err
+        assert not out.exists()
+
+
+BIG_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv, config, field",
+    [
+        (["simulate", "--seed", "-1"], ODD_VALUE_BASES["simulate"], "seed"),
+        (["simulate"], dict(ODD_VALUE_BASES["simulate"], seed=-1), "seed"),
+        (["frame-session", "--seed", "-1"], ODD_VALUE_BASES["frame-session"], "seed"),
+        (["estimator-bench", "--seed", "-1"], ODD_VALUE_BASES["estimator-bench"], "seed"),
+        (["estimator-bench"], dict(BENCH_CONFIG, alphas=[2.0]), "alphas"),
+        (["estimator-bench"], dict(BENCH_CONFIG, alphas=["a"]), "alphas"),
+        (["estimator-bench"], dict(BENCH_CONFIG, snrs=["x"]), "snrs"),
+        (["estimator-bench"], dict(BENCH_CONFIG, noise_sigma=math.inf), "noise_sigma"),
+        (["estimator-bench"], dict(BENCH_CONFIG, snrs=[1e308], noise_sigma=10), "snrs"),
+        (["estimator-bench"], dict(BENCH_CONFIG, m_values=[True]), "m_values"),
+        (["analytic-curve", "0", "--g-min", "0", "--g-max", "1", "--points", "3"], None, "degree"),
+        (["simulate"], f'{{"offered_load_g": 0.5, "horizon_s": {BIG_INT}}}', "horizon"),
+    ],
+    ids=[
+        "simulate-flag-seed", "simulate-config-seed", "frame-session-seed",
+        "estimator-bench-seed", "alpha-above-1", "alpha-string", "snr-string",
+        "noise-sigma-infinite", "mean-signal-overflow", "m-bool", "curve-degree-0",
+        "horizon-past-float-range",
+    ],
+)
+def test_former_tracebacks_exit_2(capsys, tmp_path, argv, config, field):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config), "utf-8")
+        argv = [argv[0], str(path), *argv[1:]]
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: {field}: ")
+    assert stdout == ""
+    assert not out.exists()

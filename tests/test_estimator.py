@@ -144,6 +144,16 @@ class TestSimulateEstimationRound:
         mc = monte_carlo_estimation({2, 5}, cfg, trials=1, seed=99)
         assert mc.mean_estimate == outcome.estimated_count
 
+    def test_decision_near_threshold_can_differ_from_monte_carlo(self):
+        # the round decides with math.erfc and the Monte Carlo with scipy's
+        # erfc; they differ in the last bit, so a statistic within a few
+        # floats of the threshold can be decided differently (a draw lands
+        # there with probability about 1e-16)
+        statistic = 0.22898892177819868
+        cfg = config(m=1, alpha=0.4094387632619908, mean_signal=1.0)
+        assert estimate_active_count([statistic], cfg).estimated_count == 0
+        assert _rejections(np.array([[statistic]]), np.array([0.0]), cfg)[0, 0]
+
 
 class TestMonteCarloEstimation:
     def test_fwer_bounded_under_all_null(self):
