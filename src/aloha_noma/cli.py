@@ -11,11 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import warnings
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,7 +115,13 @@ def _write_csv(
     path = args.out
     lines: list[str] = []
     exists = append and path.exists() and path.stat().st_size > 0
-    if not exists:
+    if exists:
+        # a last row without its newline would be glued to the first new one
+        with path.open("rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                lines.append("")
+    else:
         if not args.no_timestamp:
             lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
         lines.append(header)
@@ -120,6 +129,18 @@ def _write_csv(
     lines.extend(",".join([_cell(record[c]) for c in columns]) for record in records)
     with path.open("a" if exists else "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+@contextmanager
+def _undisplayed_warnings() -> Iterator[None]:
+    """Issue warnings as usual, so filters and recorders still see them,
+    but print none: the CLI reports them on stderr as its own lines."""
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda *args, **kwargs: ""
+    try:
+        yield
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def _emit_summary(record: dict[str, Any]) -> None:
@@ -318,7 +339,10 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
     activation = _get(cfg, "activation_probability", float)
     if not (0.0 <= activation <= 1.0):
         raise ConfigError(f"activation_probability: must be in [0, 1], got {activation}")
-    schedule = _build(protocol.FrameSchedule, cfg, "schedule", SCHEDULE_FIELDS)
+    # an overhead-dominated schedule gets one "warning:" line below, not
+    # also the library's source-located UserWarning
+    with _undisplayed_warnings():
+        schedule = _build(protocol.FrameSchedule, cfg, "schedule", SCHEDULE_FIELDS)
     hyp = _build(
         estimator.HypothesisConfig, cfg, "hypothesis",
         (("m", "m", int, device_count), *HYPOTHESIS_FIELDS),

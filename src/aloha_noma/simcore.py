@@ -283,6 +283,16 @@ def _decode_relative(
             yield j
 
 
+def _mw(dbm: np.ndarray) -> np.ndarray:
+    """``_dbm_to_mw`` on an array, bit for bit.
+
+    np.float_power calls libm pow as Python's float pow does; np.power
+    takes a SIMD pow that differs in the last bit on some values.
+    """
+    with np.errstate(over="ignore"):
+        return np.float_power(10.0, dbm / 10.0)
+
+
 def _resolve(
     starts: np.ndarray,
     ends: np.ndarray,
@@ -293,36 +303,39 @@ def _resolve(
     """Per-packet success flags for packets given as parallel arrays."""
     if sic.mode is SicMode.IDEAL:
         return _overlap_counts(starts, ends) <= sic.degree
-    # maximal transitively-overlapping clusters: in start order a packet
-    # opens a new cluster iff it starts at or after every earlier end
-    by_start = np.argsort(starts, kind="stable")
-    opens = np.empty(starts.size, dtype=np.intp)
-    opens[0] = 0
-    opens[1:] = starts[by_start[1:]] >= np.maximum.accumulate(ends[by_start])[:-1]
-    cluster = np.empty(starts.size, dtype=np.intp)
-    cluster[by_start] = np.cumsum(opens)
-    sizes = np.bincount(cluster)
-    firsts = np.cumsum(sizes) - sizes
+    # maximal transitively-overlapping clusters: in (start, id) order a
+    # packet opens a new cluster iff it starts at or after every earlier end
+    order = np.lexsort((ids, starts))
+    opens = np.empty(order.size, dtype=bool)
+    opens[0] = True
+    opens[1:] = starts[order[1:]] >= np.maximum.accumulate(ends[order])[:-1]
+    firsts = np.flatnonzero(opens)
+    sizes = np.diff(firsts, append=order.size)
 
-    powers_mw = np.array(_dbm_to_mw(powers_dbm.tolist()))
-    noise_mw, theta = _dbm_to_mw([sic.noise_floor_dbm, sic.capture_threshold_db])
-    # decode order: by cluster, strongest first, ties by start then device id
-    order = np.lexsort((ids, starts, -powers_mw, cluster))
-    chain = powers_mw[order]
-    decoded = np.repeat(sizes == 1, sizes) & (chain >= theta * noise_mw)
-    # making the stage list before the cluster lists keeps the peak RSS of
-    # repeated 1e5-packet runs about 1 MB lower than the reverse order
-    # (measured; an effect of heap layout, not of the bytes allocated)
-    stages = chain.tolist()
-    multi = sizes > 1
-    runs = zip(firsts[multi].tolist(), sizes[multi].tolist())
-    chains = _decode_chains(stages, runs, sic.degree, theta, noise_mw)
-    decoded[np.fromiter(chains, dtype=np.intp)] = True
-    flags = np.empty(chain.size, dtype=bool)
-    flags[order] = decoded
+    powers_mw = _mw(powers_dbm)
+    noise_mw, theta = _mw(np.array([sic.noise_floor_dbm, sic.capture_threshold_db])).tolist()
+    flags = np.zeros(order.size, dtype=bool)
+    # the _decode_chains walk on all clusters of one size at once, a row
+    # each; as in Python, sums past float range are inf and 0 * inf is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in np.unique(sizes).tolist():
+            rows = order[firsts[sizes == n, None] + np.arange(n)]
+            mw = powers_mw[rows]
+            # strongest first; the stable sort keeps ties in (start, id) order
+            rank = np.argsort(-mw, axis=1, kind="stable")
+            rows = np.take_along_axis(rows, rank, axis=1)
+            chain = np.take_along_axis(mw, rank, axis=1)
+            # weaker packets added from the weakest up, as _decode_chains does
+            interference = np.zeros_like(chain)
+            interference[:, :-1] = np.cumsum(chain[:, :0:-1], axis=1)[:, ::-1]
+            cap = min(n, sic.degree)
+            ok = chain[:, :cap] >= theta * (interference[:, :cap] + noise_mw)
+            flags[rows[:, :cap]] = np.logical_and.accumulate(ok, axis=1)
     overflowed = np.isinf(powers_mw)
     if overflowed.any():
         # decide the clusters that hold an infinite power again, on dBm
+        cluster = np.empty(order.size, dtype=np.intp)
+        cluster[order] = np.cumsum(opens)
         hot = np.flatnonzero(np.isin(cluster, cluster[overflowed]))
         hot = hot[np.lexsort((ids[hot], starts[hot], -powers_dbm[hot], cluster[hot]))]
         _, firsts, sizes = np.unique(cluster[hot], return_index=True, return_counts=True)

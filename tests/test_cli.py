@@ -28,6 +28,16 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def run_python(*argv):
+    """Run a fresh interpreter on this source tree, with Python's default
+    warning display rather than pytest's capture."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, check=True
+    )
+
+
 SIM_CONFIG = {
     "offered_load_g": 0.5,
     "packet_duration_s": 1.0,
@@ -234,6 +244,17 @@ class TestSimulate:
         _, rows = read_csv(out)
         assert len(rows) == 2
 
+    def test_append_after_a_row_without_newline(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "sim.json", dict(SIM_CONFIG, horizon_s=2000.0))
+        fresh = tmp_path / "fresh.csv"
+        run_cli(capsys, "simulate", cfg, "--out", str(fresh), "--no-timestamp")
+        _, [row] = read_csv(fresh)
+        out = tmp_path / "app.csv"
+        out.write_text(f"{cli.SIMULATE_HEADER}\n1,2,3,4,5,6,0", encoding="utf-8")
+        code, _, _ = run_cli(capsys, "simulate", cfg, "--out", str(out), "--no-timestamp")
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == f"{cli.SIMULATE_HEADER}\n1,2,3,4,5,6,0\n{row}\n"
+
     def test_refuses_append_under_foreign_header(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "sim.json", dict(SIM_CONFIG, horizon_s=2000.0))
         out = tmp_path / "f.csv"
@@ -308,6 +329,18 @@ class TestFrameSession:
         assert record["mean_effective_throughput"] <= 0.5 * max(
             record["mean_raw_throughput"], 1e-12
         )
+
+    def test_overhead_warning_is_printed_once(self, tmp_path):
+        heavy = {"frames": 3, "devices": 3, "activation_probability": 0.3,
+                 "schedule": {"payload_s": 2.0}}
+        cfg = write_config(tmp_path, "heavy.json", heavy)
+        out = tmp_path / "sess.csv"
+        done = run_python("-m", "aloha_noma", "frame-session", cfg, "--out", str(out),
+                          "--no-timestamp")
+        warned = [ln for ln in done.stderr.splitlines() if "warning" in ln.lower()]
+        assert warned == [
+            "warning: overhead-dominated schedule; effective throughput is less than half of raw"
+        ]
 
     @pytest.mark.parametrize(
         "key, value, field",
@@ -454,13 +487,8 @@ class TestCommonBehaviour:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import; nothing at start-up needs it
-    src = Path(cli.__file__).resolve().parents[1]
     code = "import sys, aloha_noma.cli; print('scipy.stats' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert done.stdout.strip() == "False"
+    assert run_python("-c", code).stdout.strip() == "False"
 
 
 def test_estimator_bench_where_erfc_is_not_monotone(capsys, tmp_path):

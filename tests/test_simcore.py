@@ -14,6 +14,8 @@ from aloha_noma.simcore import (
     SimStats,
     Transmission,
     _dbm_to_mw,
+    _decode_chains,
+    _mw,
     generate_traffic,
     overlap_count,
     resolve_sic,
@@ -194,6 +196,18 @@ class TestResolveSicPowerAware:
             assert all(not a or i for a, i in zip(aware, ideal))
 
 
+def overlap_clusters(txs):
+    """A cluster label per packet: the connected components of the overlap
+    graph."""
+    cluster = list(range(len(txs)))
+    for i, a in enumerate(txs):
+        for j, b in enumerate(txs):
+            if a.start_time < b.end_time and b.start_time < a.end_time:
+                old, new = cluster[j], cluster[i]
+                cluster = [new if c == old else c for c in cluster]
+    return cluster
+
+
 def exact_power_chain(txs, sic):
     """Power-aware flags in exact rational arithmetic, plus the smallest
     relative SINR margin of any decision the chain took.
@@ -202,12 +216,7 @@ def exact_power_chain(txs, sic):
     the strongest packet is tried first (ties by start, then device id)
     against the exact sum of the weaker members plus noise.
     """
-    cluster = list(range(len(txs)))
-    for i, a in enumerate(txs):
-        for j, b in enumerate(txs):
-            if a.start_time < b.end_time and b.start_time < a.end_time:
-                old, new = cluster[j], cluster[i]
-                cluster = [new if c == old else c for c in cluster]
+    cluster = overlap_clusters(txs)
     mw = [Fraction(10.0 ** (t.rx_power_dbm / 10.0)) for t in txs]
     theta = Fraction(10.0 ** (sic.capture_threshold_db / 10.0))
     noise = Fraction(10.0 ** (sic.noise_floor_dbm / 10.0))
@@ -256,6 +265,76 @@ class TestExactPowerChain:
         # a decision within rounding of the threshold may go either way
         assume(margin > 1e-12)
         assert resolve_sic(txs, model) == expected
+
+
+def scalar_power_chain(txs, sic):
+    """Power-aware flags from walking ``_decode_chains``, the scalar chain,
+    over each cluster in (-mW, start, device id) order."""
+    cluster = overlap_clusters(txs)
+    mw = _dbm_to_mw([t.rx_power_dbm for t in txs])
+    noise_mw, theta = _dbm_to_mw([sic.noise_floor_dbm, sic.capture_threshold_db])
+    order = sorted(
+        range(len(txs)),
+        key=lambda i: (cluster[i], -mw[i], txs[i].start_time, txs[i].device_id),
+    )
+    runs, first = [], 0
+    for p in range(1, len(order) + 1):
+        if p == len(order) or cluster[order[p]] != cluster[order[first]]:
+            runs.append((first, p - first))
+            first = p
+    flags = [False] * len(txs)
+    for p in _decode_chains([mw[i] for i in order], runs, sic.degree, theta, noise_mw):
+        flags[order[p]] = True
+    return flags
+
+
+@st.composite
+def shuffled_clusters(draw):
+    """Up to five groups of packets 10 s apart, each of 1 to 12 packets
+    starting within 2 s, so one call holds several cluster sizes; starts and
+    powers often tie, and input order and device ids are shuffled."""
+    rows = []
+    for base in range(draw(st.integers(1, 5))):
+        rows += draw(
+            st.lists(
+                st.tuples(
+                    st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 2.0)).map(
+                        lambda s, b=base: 10.0 * b + s
+                    ),
+                    # 3082.5 dBm is just below the mW overflow, so sums of
+                    # such powers overflow to inf
+                    st.one_of(
+                        st.sampled_from([-30.0, 0.0, 6.0, 3082.5]), st.floats(-300.0, 300.0)
+                    ),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+    rows = draw(st.permutations(rows))
+    ids = draw(st.permutations(range(len(rows))))
+    return [Transmission(i, s, 1.0, p) for i, (s, p) in zip(ids, rows)]
+
+
+class TestArrayKernel:
+    @settings(deadline=None)
+    @given(
+        shuffled_clusters(),
+        st.integers(1, 8),
+        st.sampled_from([-3.0, 0.0, 6.0]),
+        st.sampled_from([-30.0, 3000.0]),
+    )
+    def test_matches_scalar_chain(self, txs, degree, threshold_db, noise_dbm):
+        # bit identity with the scalar chain, so no decision margin is assumed
+        model = SicModel(degree, SicMode.POWER_AWARE, threshold_db, noise_dbm)
+        assert resolve_sic(txs, model) == scalar_power_chain(txs, model)
+
+    @given(st.lists(st.floats(-3000.0, 3000.0), max_size=50))
+    def test_conversion_is_float_pow(self, levels):
+        # 3082.5 dBm is the last finite mW level, -3300 dBm underflows to 0
+        levels += [3082.5, 3082.6, 4000.0, -3300.0, -0.0]
+        mw = _mw(np.array(levels))
+        assert mw.tobytes() == np.array(_dbm_to_mw(levels)).tobytes()
 
 
 class TestPowerOverflow:
