@@ -195,7 +195,8 @@ def _build(
 ) -> Any:
     """``ctor`` called with the fields read from ``cfg[section]`` (``cfg``
     itself for section "") plus ``fixed``; its ValueError becomes a
-    ConfigError under the section prefix."""
+    ConfigError under the section prefix, naming the JSON key where the
+    message starts with a field's argument."""
     raw = cfg.get(section, {}) if section else cfg
     if not isinstance(raw, dict):
         raise ConfigError(f"{section}: expected an object")
@@ -204,7 +205,10 @@ def _build(
     try:
         return ctor(**kwargs, **fixed)
     except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from exc
+        keys = {arg: key for key, arg, _, _ in fields}
+        name, colon, rest = str(exc).partition(":")
+        message = f"{keys[name]}:{rest}" if colon and name in keys else str(exc)
+        raise ConfigError(f"{prefix}{message}") from exc
 
 
 def _seeds(args: argparse.Namespace, cfg: dict[str, Any]) -> list[int]:

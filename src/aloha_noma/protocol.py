@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .estimator import HypothesisConfig, simulate_estimation_round
-from .simcore import SicMode, SicModel, _dbm_to_mw, _decode_chains, _decode_relative
+from .simcore import SicMode, SicModel, _decode_cluster
 from .stats import half_width
 
 __all__ = [
@@ -77,7 +77,6 @@ class DeviceState:
     device_id: int
     has_data: bool = False
     tx_power_dbm: float = 0.0
-    detected_by_gateway: bool = False
     last_ack_received: bool = False
 
 
@@ -180,8 +179,6 @@ def run_frame(
     # rejected hypothesis maps to a detected device only when it is active
     detected = [i for i in active if i in rejected]
     degree_used = min(estimated, sic.degree)
-    for i, d in enumerate(devices):
-        d.detected_by_gateway = i in rejected and d.has_data
     # every detected device draws from the same -N..N range, so one vector
     # draw gives the values of power_backoff called in detected order
     if detected:
@@ -197,21 +194,8 @@ def run_frame(
         successes = detected if len(detected) <= degree_used else []
     else:
         dbm = [devices[i].tx_power_dbm for i in detected]
-        mw = _dbm_to_mw(dbm)
-        noise_mw, theta = _dbm_to_mw([sic.noise_floor_dbm, sic.capture_threshold_db])
-        # strongest first, ties by device id, the order simcore._resolve uses;
-        # a burst holding an infinite mW power is ordered and decided on dBm
-        overflowed = math.inf in mw
-        power = dbm if overflowed else mw
-        order = sorted(
-            range(len(detected)), key=lambda j: (-power[j], devices[detected[j]].device_id)
-        )
-        stages, runs = [power[j] for j in order], [(0, len(order))]
-        if overflowed:
-            decoded = _decode_relative(stages, runs, degree_used, theta, sic.noise_floor_dbm)
-        else:
-            decoded = _decode_chains(stages, runs, degree_used, theta, noise_mw)
-        successes = [detected[order[p]] for p in decoded]
+        ids = [devices[i].device_id for i in detected]
+        successes = [detected[p] for p in _decode_cluster(dbm, ids, degree_used, sic)]
 
     acked = set(successes)
     for i in active:
@@ -222,36 +206,23 @@ def run_frame(
     detected_ids = frozenset(devices[i].device_id for i in detected)
 
     if trace is not None:
-        t1 = frame_start + schedule.beacon
-        t2 = t1 + schedule.estimation
-        t3 = t2 + schedule.broadcast
-        t4 = t3 + schedule.payload
-        t5 = t4 + schedule.ack
-        transmitters = sorted(detected_ids)
-        trace.extend((
-            TraceEvent(frame_index, "beacon", frame_start, t1, {"devices": len(devices)}),
-            TraceEvent(
-                frame_index, "estimation", t1, t2,
-                {"true_active": len(active), "estimated_count": estimated},
-            ),
-            TraceEvent(
-                frame_index, "broadcast", t2, t3,
-                {
-                    "detected": transmitters,
-                    "estimated_count": estimated,
-                    "capped": estimated > sic.degree,
-                },
-            ),
-            TraceEvent(
-                frame_index, "payload", t3, t4,
-                {
-                    "transmitters": transmitters,
-                    "degree_used": degree_used,
-                    "successes": sorted(acked_ids),
-                },
-            ),
-            TraceEvent(frame_index, "ack", t4, t5, {"acked": sorted(acked_ids)}),
-        ))
+        transmitters, acked_sorted = sorted(detected_ids), sorted(acked_ids)
+        details = (
+            {"devices": len(devices)},
+            {"true_active": len(active), "estimated_count": estimated},
+            {
+                "detected": transmitters,
+                "estimated_count": estimated,
+                "capped": estimated > sic.degree,
+            },
+            {"transmitters": transmitters, "degree_used": degree_used, "successes": acked_sorted},
+            {"acked": acked_sorted},
+        )
+        start = frame_start
+        for phase, detail in zip(PHASES, details):
+            end = start + getattr(schedule, phase)
+            trace.append(TraceEvent(frame_index, phase, start, end, detail))
+            start = end
 
     raw = float(len(acked_ids))
     return FrameResult(
@@ -307,37 +278,43 @@ def run_session(
     rng = np.random.default_rng(seed)
     frame_seeds = rng.integers(0, 2**63 - 1, size=frame_count)
 
-    results: list[FrameResult] = []
+    # five numbers per frame, not the FrameResults, so a session's memory
+    # does not grow with its frame count beyond these rows
+    per_frame = np.empty((5, frame_count))
     start = 0.0
     for k in range(frame_count):
         idle = [d for d in devices if not d.has_data]
         for d, u in zip(idle, rng.random(len(idle)).tolist()):
             if u < activation_probability:
                 d.has_data = True
-        results.append(
-            run_frame(
-                devices,
-                schedule,
-                hyp_cfg,
-                sic,
-                policy,
-                seed=int(frame_seeds[k]),
-                frame_index=k,
-                frame_start=start,
-                trace=trace,
-            )
+        r = run_frame(
+            devices,
+            schedule,
+            hyp_cfg,
+            sic,
+            policy,
+            seed=int(frame_seeds[k]),
+            frame_index=k,
+            frame_start=start,
+            trace=trace,
+        )
+        per_frame[:, k] = (
+            r.estimated_count,
+            r.true_active_count,
+            r.payload_successes,
+            r.raw_throughput,
+            r.effective_throughput,
         )
         start += schedule.total
 
-    raws = [r.raw_throughput for r in results]
-    effectives = [r.effective_throughput for r in results]
-    errors = [abs(r.estimated_count - r.true_active_count) for r in results]
+    estimated, true_active, successes, raws, effectives = per_frame
+    errors = np.abs(estimated - true_active)
     return SessionStats(
         frames=frame_count,
-        mean_estimated_count=float(np.mean([r.estimated_count for r in results])),
-        mean_true_active=float(np.mean([r.true_active_count for r in results])),
+        mean_estimated_count=float(np.mean(estimated)),
+        mean_true_active=float(np.mean(true_active)),
         mean_abs_estimation_error=float(np.mean(errors)),
-        mean_payload_successes=float(np.mean([r.payload_successes for r in results])),
+        mean_payload_successes=float(np.mean(successes)),
         mean_raw_throughput=float(np.mean(raws)),
         mean_effective_throughput=float(np.mean(effectives)),
         raw_ci_half_width=half_width(raws),

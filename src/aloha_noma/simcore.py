@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,8 +55,12 @@ class Transmission:
     def __post_init__(self) -> None:
         if not math.isfinite(self.start_time):
             raise ValueError(f"start_time must be finite, got {self.start_time!r}")
-        if not (self.duration > 0.0):
-            raise ValueError(f"duration must be > 0, got {self.duration!r}")
+        # a duration <= 0, or too small to move the start, leaves nothing
+        if not (self.start_time + self.duration > self.start_time):
+            raise ValueError(
+                f"duration must give a non-empty interval, got {self.duration!r} "
+                f"at start {self.start_time!r}"
+            )
 
     @property
     def end_time(self) -> float:
@@ -128,6 +132,11 @@ class SimConfig:
             raise ValueError(
                 "horizon: must cover at least 100 packet durations "
                 f"(got {self.horizon!r} with packet_duration={self.packet_duration!r})"
+            )
+        if self.packet_duration < math.ulp(self.horizon):
+            raise ValueError(
+                "horizon: packet intervals [start, start + packet_duration) would round "
+                f"to empty (got {self.horizon!r} with packet_duration={self.packet_duration!r})"
             )
         if self.shadowing_sigma_db < 0.0:
             raise ValueError(
@@ -208,17 +217,13 @@ def overlap_count(tx: Transmission, transmissions: list[Transmission]) -> int:
     return before_end - done_by_start
 
 
-def _dbm_to_mw(dbm: list[float]) -> list[float]:
+def _dbm_to_mw(dbm: Iterable[float]) -> list[float]:
     """Convert dBm to mW with Python's float pow, inf where the pow overflows.
 
     Not np.power, which differs in the last bit on some values and would
     move borderline SINR decisions.  The pow overflows above about
     3082.5 dBm, a level the unbounded power back-off can reach.
     """
-    try:
-        return [10.0 ** (x / 10.0) for x in dbm]
-    except OverflowError:
-        pass
     mw = []
     for x in dbm:
         try:
@@ -255,16 +260,12 @@ def _decode_chains(
 
 
 def _decode_relative(
-    stages: list[float],
-    runs: Iterable[tuple[int, int]],
-    degree: int,
-    theta: float,
-    noise_dbm: float,
+    stages: list[float], degree: int, theta: float, noise_dbm: float
 ) -> Iterator[int]:
-    """``_decode_chains`` for clusters that hold an infinite mW power.
+    """``_decode_chains`` for one cluster that holds an infinite mW power.
 
-    ``stages`` holds received powers in dBm, strongest first within each
-    run.  Each stage is decided on powers relative to its own packet, the
+    ``stages`` holds the cluster's received powers in dBm, strongest
+    first.  Each stage is decided on powers relative to its own packet, the
     strongest left in its cluster: it decodes iff 1 >= theta * (weaker +
     noise), both in units of its own power.  Absolute mW past about
     3082.5 dBm are infinite and ``inf >= theta * inf`` passes; relative to
@@ -274,13 +275,35 @@ def _decode_relative(
     counts at most 1, and a noise floor far above the packet is infinite
     and fails it, as it should.
     """
-    for a, n in runs:
-        for j in range(a, a + min(n, degree)):
-            x = stages[j]
-            *weaker, noise = _dbm_to_mw([y - x for y in stages[j + 1 : a + n]] + [noise_dbm - x])
-            if not 1.0 >= theta * (sum(weaker[::-1]) + noise):
-                break
-            yield j
+    for j in range(min(len(stages), degree)):
+        x = stages[j]
+        *weaker, noise = _dbm_to_mw([y - x for y in stages[j + 1 :]] + [noise_dbm - x])
+        if not 1.0 >= theta * (sum(weaker[::-1]) + noise):
+            break
+        yield j
+
+
+def _decode_cluster(
+    dbm: Sequence[float], ids: Sequence[int], degree: int, sic: SicModel
+) -> list[int]:
+    """Positions in ``dbm`` that one cluster's power-aware SIC chain decodes.
+
+    ``dbm`` holds the received powers of packets that all overlap one
+    another; the chain runs strongest first, ties broken by ``ids``, and
+    stops at ``degree`` stages.  A cluster holding a power past the mW
+    overflow is ordered and decided on dBm by ``_decode_relative``.
+    """
+    mw = _dbm_to_mw(dbm)
+    noise_mw, theta = _dbm_to_mw([sic.noise_floor_dbm, sic.capture_threshold_db])
+    overflowed = math.inf in mw
+    power = dbm if overflowed else mw
+    order = sorted(range(len(power)), key=lambda j: (-power[j], ids[j]))
+    stages = [power[j] for j in order]
+    if overflowed:
+        decoded = _decode_relative(stages, degree, theta, sic.noise_floor_dbm)
+    else:
+        decoded = _decode_chains(stages, [(0, len(order))], degree, theta, noise_mw)
+    return [order[p] for p in decoded]
 
 
 def _mw(dbm: np.ndarray) -> np.ndarray:
@@ -331,20 +354,15 @@ def _resolve(
             cap = min(n, sic.degree)
             ok = chain[:, :cap] >= theta * (interference[:, :cap] + noise_mw)
             flags[rows[:, :cap]] = np.logical_and.accumulate(ok, axis=1)
-    overflowed = np.isinf(powers_mw)
-    if overflowed.any():
-        # decide the clusters that hold an infinite power again, on dBm
-        cluster = np.empty(order.size, dtype=np.intp)
-        cluster[order] = np.cumsum(opens)
-        hot = np.flatnonzero(np.isin(cluster, cluster[overflowed]))
-        hot = hot[np.lexsort((ids[hot], starts[hot], -powers_dbm[hot], cluster[hot]))]
-        _, firsts, sizes = np.unique(cluster[hot], return_index=True, return_counts=True)
-        runs = zip(firsts.tolist(), sizes.tolist())
-        chains = _decode_relative(
-            powers_dbm[hot].tolist(), runs, sic.degree, theta, sic.noise_floor_dbm
-        )
-        flags[hot] = False
-        flags[hot[np.fromiter(chains, dtype=np.intp)]] = True
+    if np.isinf(powers_mw).any():
+        # decide the clusters that hold an infinite power again, one by one;
+        # each is in (start, id) order, so its positions break power ties
+        hot = np.logical_or.reduceat(np.isinf(powers_mw[order]), firsts)
+        dbm = powers_dbm[order].tolist()
+        for a, n in zip(firsts[hot].tolist(), sizes[hot].tolist()):
+            rows = order[a : a + n]
+            flags[rows] = False
+            flags[rows[_decode_cluster(dbm[a : a + n], range(n), sic.degree, sic)]] = True
     return flags
 
 

@@ -199,9 +199,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "key, value, field",
         [
-            ("horizon_s", math.inf, "horizon"),
-            ("warmup_s", math.nan, "warmup"),
-            ("packet_duration_s", math.inf, "packet_duration"),
+            ("horizon_s", math.inf, "horizon_s"),
+            ("warmup_s", math.nan, "warmup_s"),
+            ("packet_duration_s", math.inf, "packet_duration_s"),
             ("base_power_dbm", math.inf, "base_power_dbm"),
             ("shadowing_sigma_db", math.inf, "shadowing_sigma_db"),
         ],
@@ -213,6 +213,16 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", cfg, "--out", str(out))
         assert code == 2
         assert err.startswith(f"error: {field}: must be finite")
+        assert not out.exists()
+
+    def test_horizon_where_packets_round_to_empty_is_rejected(self, capsys, tmp_path):
+        # at 1e17 s the float spacing is 16 s, so a 1 s packet would span nothing
+        bad = {"offered_load_g": 1e-15, "horizon_s": 1e17}
+        cfg = write_config(tmp_path, "bad.json", bad)
+        out = tmp_path / "sim.csv"
+        code, _, err = run_cli(capsys, "simulate", cfg, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: horizon_s: ")
         assert not out.exists()
 
     def test_missing_field_diagnostic(self, capsys, tmp_path):
@@ -344,7 +354,7 @@ class TestFrameSession:
 
     @pytest.mark.parametrize(
         "key, value, field",
-        [("payload_s", math.inf, "payload"), ("beacon_s", math.inf, "beacon")],
+        [("payload_s", math.inf, "payload_s"), ("beacon_s", math.inf, "beacon_s")],
     )
     def test_non_finite_phase_is_rejected(self, capsys, tmp_path, key, value, field):
         bad = dict(SESSION_CONFIG, schedule={key: value})
@@ -647,7 +657,7 @@ BIG_INT = "1" + "0" * 400
         (["estimator-bench"], dict(BENCH_CONFIG, snrs=[1e308], noise_sigma=10), "snrs"),
         (["estimator-bench"], dict(BENCH_CONFIG, m_values=[True]), "m_values"),
         (["analytic-curve", "0", "--g-min", "0", "--g-max", "1", "--points", "3"], None, "degree"),
-        (["simulate"], f'{{"offered_load_g": 0.5, "horizon_s": {BIG_INT}}}', "horizon"),
+        (["simulate"], f'{{"offered_load_g": 0.5, "horizon_s": {BIG_INT}}}', "horizon_s"),
     ],
     ids=[
         "simulate-flag-seed", "simulate-config-seed", "frame-session-seed",

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +342,29 @@ class TestRunSession:
             BackoffPolicy(), seed=seed,
         )
         assert stats == expected
+
+    def test_memory_does_not_grow_with_frames(self):
+        # a session keeps a few numbers per frame, not the frame results
+        def session(frames):
+            run_session(frames, 0.25, devices(20, active=[]), seed=5, **self.run_args())
+
+        def traced_peak(frames):
+            tracemalloc.start()
+            try:
+                session(frames)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a long session fills the interpreter's free lists, which only a
+        # full collection empties; with collection off both traced runs
+        # start from full lists, so the difference is the session's own
+        gc.disable()
+        try:
+            session(3000)
+            assert traced_peak(3000) - traced_peak(1000) < 100 * 2000
+        finally:
+            gc.enable()
 
     def test_calls_module_run_frame_once_per_frame(self, monkeypatch):
         # per-frame observers (oracles, tracers) hook in by rebinding

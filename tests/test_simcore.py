@@ -15,6 +15,7 @@ from aloha_noma.simcore import (
     Transmission,
     _dbm_to_mw,
     _decode_chains,
+    _decode_cluster,
     _mw,
     generate_traffic,
     overlap_count,
@@ -70,6 +71,16 @@ class TestConfigValidation:
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError, match="degree"):
             SicModel(degree=0)
+
+    def test_rejects_interval_rounding_to_empty(self):
+        # the float spacing at 1e17 is 16, so 1e17 + 1 == 1e17
+        with pytest.raises(ValueError, match="non-empty interval"):
+            Transmission(1, 1e17, 1.0)
+        assert Transmission(1, 1e17, 16.0).end_time > 1e17
+
+    def test_rejects_horizon_where_packets_round_to_empty(self):
+        with pytest.raises(ValueError, match="^horizon: "):
+            sim_config(g=1e-15, horizon=1e17)
 
 
 class TestGenerateTraffic:
@@ -335,6 +346,40 @@ class TestArrayKernel:
         levels += [3082.5, 3082.6, 4000.0, -3300.0, -0.0]
         mw = _mw(np.array(levels))
         assert mw.tobytes() == np.array(_dbm_to_mw(levels)).tobytes()
+
+
+@st.composite
+def bursts(draw):
+    """Received powers and shuffled device ids of one burst; powers often
+    tie, and 3082.6 and 4000 dBm lie past the mW overflow."""
+    levels = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-30.0, 0.0, 6.0, 3082.5, 3082.6, 4000.0]),
+                st.floats(-300.0, 300.0),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return levels, draw(st.permutations(range(len(levels))))
+
+
+class TestClusterDecoder:
+    @settings(deadline=None)
+    @given(
+        bursts(),
+        st.integers(1, 8),
+        st.sampled_from([-3.0, 0.0, 6.0]),
+        st.sampled_from([-30.0, 3000.0]),
+    )
+    def test_matches_channel_on_one_burst(self, burst, degree, threshold_db, noise_dbm):
+        # every packet spans the same interval, so the burst is one cluster
+        levels, ids = burst
+        model = SicModel(degree, SicMode.POWER_AWARE, threshold_db, noise_dbm)
+        txs = [Transmission(i, 0.0, 1.0, p) for i, p in zip(ids, levels)]
+        flagged = [j for j, ok in enumerate(resolve_sic(txs, model)) if ok]
+        assert sorted(_decode_cluster(levels, ids, degree, model)) == flagged
 
 
 class TestPowerOverflow:
