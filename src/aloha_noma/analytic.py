@@ -135,17 +135,16 @@ def throughput_derivative(offered_load: float, degree: int) -> float:
     return float((1.0 - two_g) * gammaincc(n, two_g) + two_g * gammaincc(n - 1, two_g))
 
 
-def _scan_for_bracket(
-    f: Callable[[float], float], lo: float, hi: float, ratio: float = 1.2
-) -> tuple[float, float]:
-    """Geometric scan of [lo, hi] expecting exactly one sign change of f.
+def _scan_for_bracket(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Geometric scan of [lo, hi] in steps of 1.2 expecting exactly one
+    sign change of f.
 
     A second sign change (or none at all) raises BracketingError rather
     than silently picking a root.
     """
     grid = [lo]
     while grid[-1] < hi:
-        grid.append(min(grid[-1] * ratio, hi))
+        grid.append(min(grid[-1] * 1.2, hi))
     # zero counts as negative so that a far-tail underflow to -0.0 does not
     # masquerade as an extra root
     positive = [f(g) > 0.0 for g in grid]
@@ -217,6 +216,8 @@ def throughput_curve(degree: int, g_grid: Sequence[float]) -> ThroughputCurve:
         if cur <= prev:
             raise ValueError("offered-load grid must be strictly increasing")
     grid = np.asarray(loads)
-    s_values = (grid * gammaincc(n, 2.0 * grid)).tolist()
+    # past half the float range 2G is inf and S is 0.0, as in throughput()
+    with np.errstate(over="ignore"):
+        s_values = (grid * gammaincc(n, 2.0 * grid)).tolist()
     points = tuple(ThroughputPoint(g, s) for g, s in zip(loads, s_values))
     return ThroughputCurve(degree=n, points=points)

@@ -272,7 +272,15 @@ def cmd_analytic_curve(args: argparse.Namespace) -> int:
     if args.g_min < 0:
         raise ConfigError(f"g_min: must be >= 0, got {args.g_min}")
     _single_replication(args, "analytic-curve")
-    grid = np.linspace(args.g_min, args.g_max, args.points)
+    try:
+        grid = np.linspace(args.g_min, args.g_max, args.points)
+    except MemoryError:
+        raise ConfigError(f"points: cannot allocate {args.points} loads") from None
+    if not (grid[1:] > grid[:-1]).all():
+        raise ConfigError(
+            f"g_min/g_max: {args.points} points from {args.g_min} to {args.g_max} "
+            "round to repeated loads"
+        )
     curve = analytic.throughput_curve(args.degree, grid.tolist())
     _write_csv(args, ANALYTIC_CURVE_HEADER, [{"G": p.g, "S": p.s} for p in curve.points])
     peak = max(curve.points, key=lambda p: p.s)
@@ -365,14 +373,18 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
 
     records = []
     for seed in seeds:
-        print(f"frame-session: seed={seed}", file=sys.stderr)
         devices = [
             protocol.DeviceState(device_id=i, tx_power_dbm=power0)
             for i in range(device_count)
         ]
-        stats = protocol.run_session(
-            frames, activation, devices, schedule, hyp, sic, policy, seed
-        )
+        try:
+            stats = protocol.run_session(
+                frames, activation, devices, schedule, hyp, sic, policy, seed
+            )
+        except MemoryError:
+            raise ConfigError(f"frames: cannot allocate {frames} frames") from None
+        # printed after the session, so that an allocation error is the first line
+        print(f"frame-session: seed={seed}", file=sys.stderr)
         # every column after the seed is the SessionStats field of that name
         columns = FRAME_SESSION_HEADER.split(",")
         records.append({c: seed if c == "seed" else getattr(stats, c) for c in columns})
@@ -435,8 +447,13 @@ def cmd_estimator_bench(args: argparse.Namespace) -> int:
     for row_index, (snr, hyp) in enumerate(cells):
         active = range(max(1, round(active_fraction * hyp.m)))
         seed = base_seed + 2 * row_index
-        null_run = estimator.monte_carlo_estimation([], hyp, trials, seed=seed)
-        active_run = estimator.monte_carlo_estimation(active, hyp, trials, seed=seed + 1)
+        try:
+            null_run = estimator.monte_carlo_estimation([], hyp, trials, seed=seed)
+            active_run = estimator.monte_carlo_estimation(active, hyp, trials, seed=seed + 1)
+        except MemoryError:
+            raise ConfigError(
+                f"trials/m_values: cannot allocate {trials} trials of M = {hyp.m}"
+            ) from None
         records.append(
             {"M": hyp.m, "alpha": hyp.alpha, "snr": snr, "fwer": null_run.fwer,
              "power": active_run.power, "mean_abs_error": active_run.mean_abs_error}

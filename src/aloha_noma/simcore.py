@@ -18,6 +18,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .stats import half_width
 
@@ -161,7 +162,8 @@ class SimStats:
 
 
 def _traffic(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Start times and received powers (dBm) behind ``generate_traffic``."""
+    """Start times, in increasing order, and received powers (dBm) behind
+    ``generate_traffic``."""
     rate = config.offered_load_g / config.packet_duration
     if rate == 0.0:
         return np.empty(0), np.empty(0)
@@ -198,23 +200,23 @@ def generate_traffic(config: SimConfig) -> list[Transmission]:
     ]
 
 
-def _overlap_counts(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    # intervals [s_i, e_i) and [s_j, e_j) intersect iff s_i < e_j and e_i > s_j,
-    # so the count for j is #(s_i < e_j) - #(e_i <= s_j); includes j itself
-    sorted_starts = np.sort(starts)
-    sorted_ends = np.sort(ends)
-    before_end = np.searchsorted(sorted_starts, ends, side="left")
-    done_by_start = np.searchsorted(sorted_ends, starts, side="right")
+def _overlap_counts(
+    starts: np.ndarray, ends: np.ndarray, of_starts: ArrayLike, of_ends: ArrayLike
+) -> np.ndarray:
+    """For each query interval [of_starts, of_ends), the number of packets
+    [starts, ends) that intersect it; ``starts`` must be sorted."""
+    # intervals [s_i, e_i) and [a, b) intersect iff s_i < b and e_i > a,
+    # so the count is #(s_i < b) - #(e_i <= a)
+    before_end = np.searchsorted(starts, of_ends, side="left")
+    done_by_start = np.searchsorted(np.sort(ends), of_starts, side="right")
     return before_end - done_by_start
 
 
 def overlap_count(tx: Transmission, transmissions: list[Transmission]) -> int:
     """Number of transmissions (tx included) intersecting tx's interval."""
     starts = np.sort([t.start_time for t in transmissions])
-    ends = np.sort([t.end_time for t in transmissions])
-    before_end = int(np.searchsorted(starts, tx.end_time, side="left"))
-    done_by_start = int(np.searchsorted(ends, tx.start_time, side="right"))
-    return before_end - done_by_start
+    ends = np.array([t.end_time for t in transmissions])
+    return int(_overlap_counts(starts, ends, tx.start_time, tx.end_time))
 
 
 def _dbm_to_mw(dbm: Iterable[float]) -> list[float]:
@@ -317,32 +319,31 @@ def _mw(dbm: np.ndarray) -> np.ndarray:
 
 
 def _resolve(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    powers_dbm: np.ndarray,
-    ids: np.ndarray,
-    sic: SicModel,
+    starts: np.ndarray, ends: np.ndarray, powers_dbm: np.ndarray, sic: SicModel
 ) -> np.ndarray:
-    """Per-packet success flags for packets given as parallel arrays."""
+    """Per-packet success flags for packets given as parallel arrays.
+
+    The packets must be in (start, id) order: sorted by start, with tied
+    starts in id order, so that positions break ties.
+    """
     if sic.mode is SicMode.IDEAL:
-        return _overlap_counts(starts, ends) <= sic.degree
-    # maximal transitively-overlapping clusters: in (start, id) order a
-    # packet opens a new cluster iff it starts at or after every earlier end
-    order = np.lexsort((ids, starts))
-    opens = np.empty(order.size, dtype=bool)
+        return _overlap_counts(starts, ends, starts, ends) <= sic.degree
+    # maximal transitively-overlapping clusters: a packet opens a new
+    # cluster iff it starts at or after every earlier end
+    opens = np.empty(starts.size, dtype=bool)
     opens[0] = True
-    opens[1:] = starts[order[1:]] >= np.maximum.accumulate(ends[order])[:-1]
+    opens[1:] = starts[1:] >= np.maximum.accumulate(ends)[:-1]
     firsts = np.flatnonzero(opens)
-    sizes = np.diff(firsts, append=order.size)
+    sizes = np.diff(firsts, append=starts.size)
 
     powers_mw = _mw(powers_dbm)
     noise_mw, theta = _mw(np.array([sic.noise_floor_dbm, sic.capture_threshold_db])).tolist()
-    flags = np.zeros(order.size, dtype=bool)
+    flags = np.zeros(starts.size, dtype=bool)
     # the _decode_chains walk on all clusters of one size at once, a row
     # each; as in Python, sums past float range are inf and 0 * inf is nan
     with np.errstate(over="ignore", invalid="ignore"):
         for n in np.unique(sizes).tolist():
-            rows = order[firsts[sizes == n, None] + np.arange(n)]
+            rows = firsts[sizes == n, None] + np.arange(n)
             mw = powers_mw[rows]
             # strongest first; the stable sort keeps ties in (start, id) order
             rank = np.argsort(-mw, axis=1, kind="stable")
@@ -356,13 +357,13 @@ def _resolve(
             flags[rows[:, :cap]] = np.logical_and.accumulate(ok, axis=1)
     if np.isinf(powers_mw).any():
         # decide the clusters that hold an infinite power again, one by one;
-        # each is in (start, id) order, so its positions break power ties
-        hot = np.logical_or.reduceat(np.isinf(powers_mw[order]), firsts)
-        dbm = powers_dbm[order].tolist()
+        # positions break power ties
+        hot = np.logical_or.reduceat(np.isinf(powers_mw), firsts)
+        dbm = powers_dbm.tolist()
         for a, n in zip(firsts[hot].tolist(), sizes[hot].tolist()):
-            rows = order[a : a + n]
-            flags[rows] = False
-            flags[rows[_decode_cluster(dbm[a : a + n], range(n), sic.degree, sic)]] = True
+            cluster = flags[a : a + n]
+            cluster[:] = False
+            cluster[_decode_cluster(dbm[a : a + n], range(n), sic.degree, sic)] = True
     return flags
 
 
@@ -370,13 +371,13 @@ def resolve_sic(transmissions: list[Transmission], sic: SicModel) -> list[bool]:
     """Per-transmission success flags, aligned with the input order."""
     if not transmissions:
         return []
-    return _resolve(
-        np.array([t.start_time for t in transmissions]),
-        np.array([t.end_time for t in transmissions]),
-        np.array([t.rx_power_dbm for t in transmissions]),
-        np.array([t.device_id for t in transmissions]),
-        sic,
-    ).tolist()
+    starts = np.array([t.start_time for t in transmissions])
+    order = np.lexsort((np.array([t.device_id for t in transmissions]), starts))
+    ends = np.array([t.end_time for t in transmissions])
+    powers_dbm = np.array([t.rx_power_dbm for t in transmissions])
+    flags = np.empty(order.size, dtype=bool)
+    flags[order] = _resolve(starts[order], ends[order], powers_dbm[order], sic)
+    return flags.tolist()
 
 
 def run_simulation(config: SimConfig) -> SimStats:
@@ -392,9 +393,10 @@ def run_simulation(config: SimConfig) -> SimStats:
         return SimStats(0, 0, 0.0, 0.0, 0.0, degenerate=True)
 
     ends = starts + config.packet_duration
-    ok = _resolve(starts, ends, powers_dbm, np.arange(starts.size), config.sic)
-    measured = starts >= config.warmup
-    offered = int(measured.sum())
+    ok = _resolve(starts, ends, powers_dbm, config.sic)
+    # starts are sorted, so the measured packets are a suffix
+    first = int(np.searchsorted(starts, config.warmup))
+    offered = starts.size - first
     busy = np.clip(ends, config.warmup, config.horizon) - np.clip(
         starts, config.warmup, config.horizon
     )
@@ -402,13 +404,13 @@ def run_simulation(config: SimConfig) -> SimStats:
     if offered == 0:
         return SimStats(0, 0, 0.0, mean_concurrency, 0.0, degenerate=True)
 
-    succeeded = int((ok & measured).sum())
+    succeeded = int(ok[first:].sum())
     throughput = succeeded * config.packet_duration / span
 
-    batch_of = ((starts[measured] - config.warmup) / span * BATCH_COUNT).astype(int)
+    batch_of = ((starts[first:] - config.warmup) / span * BATCH_COUNT).astype(int)
     np.clip(batch_of, 0, BATCH_COUNT - 1, out=batch_of)
     batch_successes = np.bincount(
-        batch_of, weights=ok[measured].astype(float), minlength=BATCH_COUNT
+        batch_of, weights=ok[first:].astype(float), minlength=BATCH_COUNT
     )
     batch_throughputs = batch_successes * config.packet_duration / (span / BATCH_COUNT)
     return SimStats(

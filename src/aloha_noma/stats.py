@@ -11,8 +11,8 @@ from scipy import special
 __all__ = ["half_width"]
 
 
-def half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
-    """Student-t half-width of a confidence interval for the sample mean.
+def half_width(samples: Sequence[float]) -> float:
+    """Student-t half-width of a 95% confidence interval for the sample mean.
 
     Returns 0.0 for fewer than two samples (no spread information).
     """
@@ -22,5 +22,5 @@ def half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
         return 0.0
     # the Student-t quantile without importing scipy.stats, which is slow
     # to import; stdtrit gives the bits of scipy.stats.t.ppf
-    quantile = special.stdtrit(n - 1, 0.5 + confidence / 2.0)
+    quantile = special.stdtrit(n - 1, 0.5 + 0.95 / 2.0)
     return float(quantile * x.std(ddof=1) / math.sqrt(n))

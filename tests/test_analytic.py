@@ -274,6 +274,11 @@ class TestThroughputCurve:
         with pytest.raises(ValueError):
             throughput_curve(1, [])
 
+    def test_load_past_half_float_range_gives_zero(self):
+        # 2G overflows to inf there; S is 0.0 as throughput(1e308, 5) gives
+        curve = throughput_curve(5, [0.0, 1e308])
+        assert [p.s for p in curve.points] == [0.0, 0.0]
+
 
 def test_superlinear_growth_of_maxima():
     maxima = [max_throughput(n).s_max for n in range(1, 22)]

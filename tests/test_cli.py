@@ -658,12 +658,25 @@ BIG_INT = "1" + "0" * 400
         (["estimator-bench"], dict(BENCH_CONFIG, m_values=[True]), "m_values"),
         (["analytic-curve", "0", "--g-min", "0", "--g-max", "1", "--points", "3"], None, "degree"),
         (["simulate"], f'{{"offered_load_g": 0.5, "horizon_s": {BIG_INT}}}', "horizon_s"),
+        (
+            ["analytic-curve", "5", "--g-min", "1e16", "--g-max", "1.0000000000000004e16",
+             "--points", "100"],
+            None,
+            "g_min/g_max",
+        ),
+        # past the 47-bit address space, so each allocation fails at once
+        (["frame-session"], dict(ODD_VALUE_BASES["frame-session"], frames=10**16), "frames"),
+        (["analytic-curve", "5", "--g-min", "0", "--g-max", "1", "--points", str(10**16)],
+         None, "points"),
+        (["estimator-bench"], dict(BENCH_CONFIG, trials=10**16), "trials/m_values"),
+        (["estimator-bench"], dict(BENCH_CONFIG, m_values=[10**16]), "trials/m_values"),
     ],
     ids=[
         "simulate-flag-seed", "simulate-config-seed", "frame-session-seed",
         "estimator-bench-seed", "alpha-above-1", "alpha-string", "snr-string",
         "noise-sigma-infinite", "mean-signal-overflow", "m-bool", "curve-degree-0",
-        "horizon-past-float-range",
+        "horizon-past-float-range", "curve-grid-rounds-to-repeats", "frames-unallocatable",
+        "points-unallocatable", "trials-unallocatable", "m-values-unallocatable",
     ],
 )
 def test_former_tracebacks_exit_2(capsys, tmp_path, argv, config, field):

@@ -130,6 +130,25 @@ class TestOverlapCount:
         assert [overlap_count(t, txs) for t in txs] == expected
 
 
+@st.composite
+def mixed_durations(draw):
+    """Up to 30 packets of mixed durations in random input order, starts
+    often tied and device ids shuffled, so neither starts nor ends arrive
+    sorted."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 5.0)),
+                st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 4.0)),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    ids = draw(st.permutations(range(len(rows))))
+    return [Transmission(i, s, d) for i, (s, d) in zip(ids, rows)]
+
+
 class TestResolveSicIdeal:
     def test_lone_packet_succeeds(self):
         assert resolve_sic(packets(0.0), IDEAL_1) == [True]
@@ -162,6 +181,11 @@ class TestResolveSicIdeal:
             Transmission(1, start + duration, duration),
         ]
         assert resolve_sic(txs, IDEAL_1) == [True, True]
+
+    @given(mixed_durations(), st.integers(1, 8))
+    def test_matches_brute_force_on_shuffled_mixed_durations(self, txs, degree):
+        expected = [c <= degree for c in brute_force_overlaps(txs)]
+        assert resolve_sic(txs, SicModel(degree=degree)) == expected
 
 
 class TestResolveSicPowerAware:
