@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaincc, xlogy
@@ -36,7 +36,14 @@ __all__ = [
 ]
 
 class BracketingError(RuntimeError):
-    """The derivative has no unique sign change on the scanned load range."""
+    """The derivative has no unique sign change on the scanned load range.
+
+    ``degree`` is the SIC degree whose scan failed, when there is one.
+    """
+
+    def __init__(self, message: str, degree: int | None = None) -> None:
+        super().__init__(message)
+        self.degree = degree
 
 
 @dataclass(frozen=True)
@@ -131,79 +138,144 @@ def throughput_derivative(offered_load: float, degree: int) -> float:
     if g == 0.0:
         # Q(0, 0) is undefined; the slope at the origin is Q(N, 0) = 1
         return 1.0
+    return float(_derivative_terms(g, n)[0])
+
+
+def _derivative_terms(g, n):
+    """dS/dG at loads g > 0 and degrees n (scalars or arrays), as
+    ``throughput_derivative`` gives it, and the Q(N, 2G) it is built from."""
     two_g = 2.0 * g
-    return float((1.0 - two_g) * gammaincc(n, two_g) + two_g * gammaincc(n - 1, two_g))
+    q = gammaincc(n, two_g)
+    return (1.0 - two_g) * q + two_g * gammaincc(n - 1, two_g), q
+
+
+# Each degree's scan runs from _SCAN_LO up to 10N in steps of _SCAN_STEP.
+_SCAN_LO = 1e-2
+_SCAN_STEP = 1.2
+# The smallest normal float.  A derivative below it, zero or subnormal,
+# counts as negative, so that a far-tail underflow does not masquerade as
+# an extra root.
+_TINY = float(np.finfo(float).tiny)
+_BISECTION_STEPS = 200
+
+
+def _scan_grids(lo: float, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The geometric scan grids lo, 1.2 lo, 1.44 lo, ... below each hi, then
+    hi itself, concatenated; and the end index of each grid.
+
+    Every grid is a prefix of one Python-float sequence, so a load has the
+    same bits in every grid that holds it.
+    """
+    steps = [lo]
+    while steps[-1] < his.max():
+        steps.append(steps[-1] * _SCAN_STEP)
+    below = np.searchsorted(steps, his)
+    ends = np.cumsum(below + 1)
+    loads = np.asarray(steps)[np.arange(ends[-1]) - np.repeat(ends - below - 1, below + 1)]
+    loads[ends - 1] = his
+    return loads, ends
+
+
+def _sign_changes(
+    values: np.ndarray, ends: np.ndarray, lo: float, his: np.ndarray, labels: Sequence[Any]
+) -> np.ndarray:
+    """The index k of the one sign change values[k] -> values[k + 1] inside
+    each grid.  The first grid with none or several raises BracketingError,
+    with that grid's label as its ``degree``."""
+    positive = values >= _TINY
+    changes = positive[1:] != positive[:-1]
+    changes[ends[:-1] - 1] = False  # pairs that straddle two grids
+    counted = np.concatenate(([0], np.cumsum(changes)))
+    counts = counted[ends - 1] - counted[np.concatenate(([0], ends[:-1]))]
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        i = int(bad[0])
+        span = f"({lo:g}, {float(his[i]):g}]"
+        if counts[i] == 0:
+            message = f"no sign change found on {span}; cannot bracket the optimum"
+        else:
+            message = (
+                f"{counts[i]} sign changes found on {span}; "
+                "the derivative is not unimodal on the scan grid"
+            )
+        raise BracketingError(message, labels[i])
+    return np.flatnonzero(changes)
 
 
 def _scan_for_bracket(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Geometric scan of [lo, hi] in steps of 1.2 expecting exactly one
-    sign change of f.
+    sign change of the scalar function f, as the optimizer scans.
 
     A second sign change (or none at all) raises BracketingError rather
     than silently picking a root.
     """
-    grid = [lo]
-    while grid[-1] < hi:
-        grid.append(min(grid[-1] * 1.2, hi))
-    # zero counts as negative so that a far-tail underflow to -0.0 does not
-    # masquerade as an extra root
-    positive = [f(g) > 0.0 for g in grid]
-    brackets: list[tuple[float, float]] = []
-    for k in range(len(grid) - 1):
-        if positive[k] != positive[k + 1]:
-            brackets.append((grid[k], grid[k + 1]))
-    if not brackets:
-        raise BracketingError(
-            f"no sign change found on ({lo:g}, {hi:g}]; cannot bracket the optimum"
-        )
-    if len(brackets) > 1:
-        raise BracketingError(
-            f"{len(brackets)} sign changes found on ({lo:g}, {hi:g}]; "
-            "the derivative is not unimodal on the scan grid"
-        )
-    return brackets[0]
+    his = np.array([float(hi)])
+    loads, ends = _scan_grids(lo, his)
+    (k,) = _sign_changes(np.array([f(g) for g in loads.tolist()]), ends, lo, his, [None])
+    return float(loads[k]), float(loads[k + 1])
 
 
-def _bisect(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    fa = f(a)
-    for _ in range(200):
+def _max_throughputs(degrees: Sequence[int], tol: float = 1e-9) -> list[MaxThroughputResult]:
+    """``max_throughput`` of every degree in one pass of array code.
+
+    The derivative is evaluated once over all degrees' scan grids, and
+    the brackets are then bisected in lockstep; each degree stops by the
+    rules of a scalar bisection, so its root does not depend on the other
+    degrees of the call.  A degree whose scan finds no sign change or
+    several raises BracketingError; with several such degrees, the first
+    in ``degrees`` is reported.
+    """
+    ns = [_validate_degree(n) for n in degrees]
+    tol = float(tol)
+    if not (0.0 < tol <= 1e-3):
+        raise ValueError(f"tolerance must be in (0, 1e-3], got {tol!r}")
+    n = np.array(ns, dtype=float)
+    his = 10.0 * n
+    loads, ends = _scan_grids(_SCAN_LO, his)
+    values, _ = _derivative_terms(loads, np.repeat(n, np.diff(ends, prepend=0)))
+    k = _sign_changes(values, ends, _SCAN_LO, his, ns)
+
+    # Bisect every bracket (a, b); a_positive is the sign of the derivative
+    # at a, and lanes[i] is the degree index of the i-th unfinished bracket.
+    a, b, a_positive = loads[k], loads[k + 1], values[k] >= _TINY
+    lanes = np.arange(len(ns))
+    roots = np.empty(len(ns))
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (b - a) < tol and abs(fm) <= tol:
-            return mid
-        if (fa > 0.0) == (fm > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
+        fm, q = _derivative_terms(mid, n[lanes])
+        # an exact zero is a root unless both Q terms have underflowed
+        done = (
+            (mid == a) | (mid == b) | ((fm == 0.0) & (q != 0.0))
+            | (((b - a) < tol) & (np.abs(fm) <= tol))
+        )
+        roots[lanes[done]] = mid[done]
+        left = a_positive == (fm >= _TINY)
+        a, b = np.where(left, mid, a)[~done], np.where(left, b, mid)[~done]
+        a_positive, lanes = a_positive[~done], lanes[~done]
+        if not lanes.size:
+            break
+    roots[lanes] = 0.5 * (a + b)
+
+    residuals, q = _derivative_terms(roots, n)
+    s_max = roots * q
+    return [
+        MaxThroughputResult(degree=d, g_star=g, s_max=s, derivative_residual=r)
+        for d, g, s, r in zip(ns, roots.tolist(), s_max.tolist(), residuals.tolist())
+    ]
 
 
 def max_throughput(degree: int, tol: float = 1e-9) -> MaxThroughputResult:
     """Locate the unique positive root of dS/dG by bracketing and bisection.
 
-    The scan covers G in (0, 10N]; bisection stops once the interval is
-    below ``tol`` and the derivative residual at the midpoint is too.
+    The scan covers G in (0, 10N] on a geometric grid; bisection stops once
+    the interval is below ``tol`` and the derivative residual at the
+    midpoint is too, or at an exact zero of the derivative, or where the
+    midpoint meets an end of the interval.  A derivative below the smallest
+    normal float counts as negative, and a zero where Q(N, 2G) has
+    underflowed is not taken as a root, so large degrees keep a finite
+    G* with S_max > 0.  This is the one-degree call of ``_max_throughputs``.
     """
-    n = _validate_degree(degree)
-    tol = float(tol)
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError(f"tolerance must be in (0, 1e-3], got {tol!r}")
-
-    def deriv(g: float) -> float:
-        return throughput_derivative(g, n)
-
-    a, b = _scan_for_bracket(deriv, 1e-2, 10.0 * n)
-    g_star = _bisect(deriv, a, b, tol)
-    return MaxThroughputResult(
-        degree=n,
-        g_star=g_star,
-        s_max=throughput(g_star, n),
-        derivative_residual=throughput_derivative(g_star, n),
-    )
+    return _max_throughputs([degree], tol)[0]
 
 
 def throughput_curve(degree: int, g_grid: Sequence[float]) -> ThroughputCurve:

@@ -27,6 +27,9 @@ from . import analytic, estimator, protocol, simcore
 __all__ = ["ConfigError", "main"]
 
 ANALYTIC_MAX_HEADER = "N,G_star,S_max,deriv_residual"
+# analytic-max scans all degrees in one pass: about 85 loads per degree at
+# N = 1e4, so 1..1e4 takes about 0.1 GB and 1..1e5 about 0.65 GB
+ANALYTIC_MAX_N_MAX = 10_000
 ANALYTIC_CURVE_HEADER = "G,S"
 SIMULATE_HEADER = (
     "seed,offered,succeeded,normalized_throughput,ci_half_width,mean_concurrency,degenerate"
@@ -227,22 +230,23 @@ def _single_replication(args: argparse.Namespace, command: str) -> None:
 
 
 def cmd_analytic_max(args: argparse.Namespace) -> int:
-    if args.n_max < 1:
-        raise ConfigError(f"n_max: must be >= 1, got {args.n_max}")
+    if not (1 <= args.n_max <= ANALYTIC_MAX_N_MAX):
+        raise ConfigError(f"n_max: must be in [1, {ANALYTIC_MAX_N_MAX}], got {args.n_max}")
     if not (0.0 < args.tol <= 1e-3):
         raise ConfigError(f"--tol: must be in (0, 1e-3], got {args.tol}")
     _single_replication(args, "analytic-max")
-    records = []
-    for n in range(1, args.n_max + 1):
-        try:
-            res = analytic.max_throughput(n, tol=args.tol)
-        except analytic.BracketingError as exc:
-            print(f"error: optimizer failed at N={n}: {exc}", file=sys.stderr)
-            return 1
-        records.append(
-            {"N": n, "G_star": res.g_star, "S_max": res.s_max,
-             "deriv_residual": res.derivative_residual}
-        )
+    try:
+        results = analytic._max_throughputs(range(1, args.n_max + 1), tol=args.tol)
+    except analytic.BracketingError as exc:
+        print(f"error: optimizer failed at N={exc.degree}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        raise ConfigError(f"n_max: cannot allocate the scan of {args.n_max} degrees") from None
+    records = [
+        {"N": res.degree, "G_star": res.g_star, "S_max": res.s_max,
+         "deriv_residual": res.derivative_residual}
+        for res in results
+    ]
     _write_csv(args, ANALYTIC_MAX_HEADER, records)
     last = records[-1]
     _emit_summary(

@@ -9,6 +9,7 @@ of rejections as its estimate of the active count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import struct
@@ -113,7 +114,7 @@ def p_value_from_statistic(x: float, noise_sigma: float) -> float:
     """Upper-tail probability of a zero-mean Gaussian(noise_sigma) at x."""
     if not (noise_sigma > 0.0):
         raise ValueError(f"noise_sigma must be > 0, got {noise_sigma!r}")
-    return 0.5 * math.erfc(x / (noise_sigma * math.sqrt(2.0)))
+    return float(_upper_tail(x / (noise_sigma * math.sqrt(2.0))))
 
 
 def estimate_active_count(
@@ -122,17 +123,17 @@ def estimate_active_count(
     """Test all M hypotheses and count rejections.
 
     Rejection is inclusive at the threshold: p_i <= alpha / M rejects.
+    The p-values are ``p_value_from_statistic``'s and the decisions are
+    ``monte_carlo_estimation``'s rule, both with scipy's ``erfc``.
     """
     if len(statistics) != config.m:
         raise ValueError(
             f"expected {config.m} statistics, got {len(statistics)}"
         )
-    threshold = bonferroni_threshold(config.alpha, config.m)
-    # the expression of p_value_from_statistic, with its scale taken once
-    scale = config.noise_sigma * math.sqrt(2.0)
-    p_values = tuple([0.5 * math.erfc(x / scale) for x in statistics])
-    rejected = frozenset([i for i, p in enumerate(p_values) if p <= threshold])
-    return EstimationOutcome(p_values, rejected, len(rejected))
+    p_values = _upper_tail(np.divide(statistics, config.noise_sigma * math.sqrt(2.0)))
+    flags = _p_value_rejects(p_values, config).tolist()
+    rejected = frozenset(itertools.compress(range(config.m), flags))
+    return EstimationOutcome(tuple(p_values.tolist()), rejected, len(rejected))
 
 
 def _active_mask(true_active: Iterable[int], m: int) -> np.ndarray:
@@ -153,7 +154,7 @@ def simulate_estimation_round(
     means = np.where(mask, config.signal_means(), 0.0)
     rng = np.random.default_rng(seed)
     statistics = means + config.noise_sigma * rng.standard_normal(config.m)
-    return estimate_active_count(statistics.tolist(), config)
+    return estimate_active_count(statistics, config)
 
 
 @dataclass(frozen=True)
@@ -197,9 +198,16 @@ def _scaled(z, mean, sigma: float):
     return (mean + sigma * z) / (sigma * math.sqrt(2.0))
 
 
-def _p_value_rejects(x, config: HypothesisConfig):
-    """The Bonferroni p-value rule on scaled statistics, with scipy's erfc."""
-    return 0.5 * special.erfc(x) <= bonferroni_threshold(config.alpha, config.m)
+def _upper_tail(x):
+    """The p-value 0.5 * erfc(x) of statistics x scaled to units of
+    sigma * sqrt(2), with scipy's erfc."""
+    return 0.5 * special.erfc(x)
+
+
+def _p_value_rejects(p_values, config: HypothesisConfig):
+    """The Bonferroni rule, p <= alpha / M, of both ``estimate_active_count``
+    and ``monte_carlo_estimation``."""
+    return p_values <= bonferroni_threshold(config.alpha, config.m)
 
 
 # floats checked on each side of the statistic where the rule turns true
@@ -211,18 +219,18 @@ _WINDOW_REACH = 64
 def _statistic_window(config: HypothesisConfig) -> tuple[float, float]:
     """Scaled statistics ``(lower, upper)`` that bound the rule's flips.
 
-    ``_p_value_rejects`` rejects no statistic x < lower and every x >=
-    upper; statistics in between need the rule itself.  The window is
-    empty (lower == upper) unless scipy's erfc is not monotone in its last
+    The p-value rule rejects no statistic x < lower and every x >= upper;
+    statistics in between need the rule itself.  The window is empty
+    (lower == upper) unless scipy's erfc is not monotone in its last
     bit where the rule turns, as at some levels alpha / M above about 0.16
     (statistics below 1).  Bisection gives one point where the rule turns
     true, and every flip among the ``_WINDOW_CHECK`` floats on each side of
     it must lie within ``_WINDOW_REACH`` floats of it.
     """
-    turn = _first_true(lambda x: _p_value_rejects(x, config))
+    turn = _first_true(lambda x: _p_value_rejects(_upper_tail(x), config))
     keys = np.arange(turn - _WINDOW_CHECK, turn + _WINDOW_CHECK + 1)
     magnitudes = np.abs(keys).view(np.float64)
-    flags = _p_value_rejects(np.where(keys < 0, -magnitudes, magnitudes), config)
+    flags = _p_value_rejects(_upper_tail(np.where(keys < 0, -magnitudes, magnitudes)), config)
     first_hit = int(np.argmax(flags))
     last_miss = flags.size - 1 - int(np.argmax(~flags[::-1]))
     if first_hit < _WINDOW_CHECK - _WINDOW_REACH or last_miss >= _WINDOW_CHECK + _WINDOW_REACH:
@@ -241,8 +249,8 @@ def _first_draw(x: float, mean: float, sigma: float) -> float:
 
 def _rejections(draws: np.ndarray, means: np.ndarray, config: HypothesisConfig) -> np.ndarray:
     """The p-value rule on standard-normal draws (trials x M) of columns
-    with the given means, as ``_p_value_rejects(_scaled(...))``, the
-    expression the Monte Carlo used to evaluate per draw.
+    with the given means, as ``_p_value_rejects(_upper_tail(_scaled(...)))``
+    decides them draw by draw.
 
     The statistic window maps to one window of draws per distinct mean;
     a draw below it never rejects and one at or above it always does, so
@@ -256,7 +264,7 @@ def _rejections(draws: np.ndarray, means: np.ndarray, config: HypothesisConfig) 
     if (lower < upper).any():
         rows, cols = np.nonzero((draws >= lower) & (draws < upper))
         statistics = _scaled(draws[rows, cols], means[cols], config.noise_sigma)
-        rejected[rows, cols] = _p_value_rejects(statistics, config)
+        rejected[rows, cols] = _p_value_rejects(_upper_tail(statistics), config)
     return rejected
 
 
@@ -267,11 +275,11 @@ def monte_carlo_estimation(
 
     ``fwer`` is the fraction of trials with at least one false rejection;
     ``power`` the mean detection rate over truly active devices (NaN when
-    none are active).  With trials = 1 the draw matches
-    ``simulate_estimation_round(true_active, config, seed)`` exactly, but a
-    draw within a few floats of the threshold can be decided differently:
-    the tests are decided on the draws by ``_rejections`` with scipy's
-    ``erfc``, and ``estimate_active_count`` uses ``math.erfc``.
+    none are active).  With trials = 1 the draw and every decision match
+    ``simulate_estimation_round(true_active, config, seed)`` exactly: the
+    tests are decided on the draws by ``_rejections``, which gives the
+    decisions of ``_p_value_rejects`` on scipy's ``erfc`` p-values, as
+    ``estimate_active_count`` makes them.
     """
     if operator.index(trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from aloha_noma import analytic
 from aloha_noma.analytic import (
     BracketingError,
+    _max_throughputs,
     _scan_for_bracket,
     max_throughput,
     poisson_arrival_pmf,
@@ -284,3 +286,62 @@ def test_superlinear_growth_of_maxima():
     maxima = [max_throughput(n).s_max for n in range(1, 22)]
     gains = np.diff(maxima)
     assert np.all(np.diff(gains) >= 0.0)
+
+
+class TestMultiDegreeOptimizer:
+    def test_rows_equal_one_degree_calls(self):
+        rows = _max_throughputs(range(1, 201))
+        assert [r.degree for r in rows] == list(range(1, 201))
+        for n, row in enumerate(rows, start=1):
+            assert max_throughput(n) == row
+
+    def test_row_does_not_depend_on_the_other_degrees(self):
+        together = _max_throughputs([40, 3, 7], tol=1e-6)
+        assert together == [max_throughput(n, tol=1e-6) for n in (40, 3, 7)]
+
+    def test_rejects_bad_degree_and_tolerance(self):
+        with pytest.raises(ValueError):
+            _max_throughputs([1, 0])
+        with pytest.raises(ValueError):
+            _max_throughputs([1, 2], tol=1e-2)
+
+    def test_reports_the_first_failing_degree(self, monkeypatch):
+        terms = analytic._derivative_terms
+
+        def corrupted(g, n):
+            values, q = terms(g, n)
+            # degree 7 oscillates and degree 13 never turns negative
+            values = np.where(np.equal(n, 7), np.cos(g), values)
+            return np.where(np.equal(n, 13), 1.0, values), q
+
+        monkeypatch.setattr(analytic, "_derivative_terms", corrupted)
+        with pytest.raises(BracketingError, match=r"sign changes found on \(0.01, 70\]") as info:
+            _max_throughputs(range(1, 21))
+        assert info.value.degree == 7
+        with pytest.raises(BracketingError, match=r"no sign change found on \(0.01, 130\]") as info:
+            _max_throughputs(range(8, 21))
+        assert info.value.degree == 13
+
+
+class TestUnderflowingTail:
+    # N = 12550: a subnormal derivative far right of G* once read as
+    # positive (three sign changes); N = 1e6: an underflowed zero of the
+    # derivative far right of G* once stopped the bisection, with S_max = 0
+    @pytest.mark.parametrize("n", [12550, 10**6])
+    def test_optimum_is_a_finite_interior_maximum(self, n):
+        res = max_throughput(n)
+        assert math.isfinite(res.g_star) and res.s_max > 0.0
+        assert res.s_max == throughput(res.g_star, n)
+        assert throughput_derivative(res.g_star - 1e-3, n) > 0.0
+        assert throughput_derivative(res.g_star + 1e-3, n) < 0.0
+        assert abs(res.derivative_residual) <= 1e-9
+
+    def test_million_degree_optimum(self):
+        res = max_throughput(10**6)
+        assert res.g_star == pytest.approx(498271.52, abs=0.01)
+        assert res.s_max == pytest.approx(498137.25, abs=0.01)
+
+    def test_subnormal_counts_as_negative_in_the_scan(self):
+        # 5e-324 > 0, but it is below the smallest normal float
+        a, b = _scan_for_bracket(lambda g: 1.0 if g < 1.0 else 5e-324, 0.01, 10.0)
+        assert a < 1.0 <= b

@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from aloha_noma import cli
+from aloha_noma import analytic, cli
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +112,66 @@ class TestAnalyticMax:
         assert code == 2
         assert err.startswith("error: --tol: must be in (0, 1e-3]")
         assert not out.exists()
+
+    def test_rejects_n_max_above_the_bound(self, capsys, tmp_path):
+        out = tmp_path / "max.csv"
+        n_max = cli.ANALYTIC_MAX_N_MAX + 1
+        code, stdout, err = run_cli(capsys, "analytic-max", str(n_max), "--out", str(out))
+        assert code == 2
+        assert err == f"error: n_max: must be in [1, {cli.ANALYTIC_MAX_N_MAX}], got {n_max}\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_unallocatable_scan_grids_exit_2(self, capsys, tmp_path, monkeypatch):
+        def no_memory(lo, his):
+            raise MemoryError
+
+        monkeypatch.setattr(analytic, "_scan_grids", no_memory)
+        out = tmp_path / "max.csv"
+        code, stdout, err = run_cli(capsys, "analytic-max", "50", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: n_max: cannot allocate")
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_optimizer_failure_names_the_smallest_degree(self, capsys, tmp_path, monkeypatch):
+        terms = analytic._derivative_terms
+
+        def corrupted(g, n):
+            values, q = terms(g, n)
+            values = np.where(np.equal(n, 11), np.cos(g), values)
+            return np.where(np.equal(n, 4), -1.0, values), q
+
+        monkeypatch.setattr(analytic, "_derivative_terms", corrupted)
+        out = tmp_path / "max.csv"
+        code, stdout, err = run_cli(capsys, "analytic-max", "20", "--out", str(out))
+        assert code == 1
+        assert err == (
+            "error: optimizer failed at N=4: no sign change found on (0.01, 40]; "
+            "cannot bracket the optimum\n"
+        )
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_outputs_match_pinned_bytes_at_200(self, capsys, tmp_path):
+        out = tmp_path / "max.csv"
+        code, stdout, err = run_cli(
+            capsys, "analytic-max", "200", "--out", str(out), "--no-timestamp"
+        )
+        assert code == 0, err
+        assert out.read_bytes() == (DATA_DIR / "analytic_max_200.csv").read_bytes()
+        pinned_stdout = (DATA_DIR / "analytic_max_200.stdout").read_text(encoding="utf-8")
+        assert stdout.replace(str(out), "OUT") == pinned_stdout
+
+    def test_every_shorter_table_is_a_prefix_of_the_pinned_one(self, capsys, tmp_path):
+        lines = (DATA_DIR / "analytic_max_200.csv").read_text(encoding="utf-8").splitlines()
+        out = tmp_path / "max.csv"
+        for n_max in range(1, 200):
+            code, _, err = run_cli(
+                capsys, "analytic-max", str(n_max), "--out", str(out), "--no-timestamp"
+            )
+            assert code == 0, err
+            assert out.read_text(encoding="utf-8").splitlines() == lines[: n_max + 1]
 
 
 class TestAnalyticCurve:

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy import stats as sps
@@ -144,15 +144,25 @@ class TestSimulateEstimationRound:
         mc = monte_carlo_estimation({2, 5}, cfg, trials=1, seed=99)
         assert mc.mean_estimate == outcome.estimated_count
 
-    def test_decision_near_threshold_can_differ_from_monte_carlo(self):
-        # the round decides with math.erfc and the Monte Carlo with scipy's
-        # erfc; they differ in the last bit, so a statistic within a few
-        # floats of the threshold can be decided differently (a draw lands
-        # there with probability about 1e-16)
-        statistic = 0.22898892177819868
-        cfg = config(m=1, alpha=0.4094387632619908, mean_signal=1.0)
-        assert estimate_active_count([statistic], cfg).estimated_count == 0
-        assert _rejections(np.array([[statistic]]), np.array([0.0]), cfg)[0, 0]
+    @settings(deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.one_of(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=200)),
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+    )
+    # the statistic 0.22898892177819868 lies on this rule's threshold, where
+    # math.erfc and scipy's erfc once decided it differently
+    @example(0.4094387632619908, 1, 1.0, 0.0)
+    def test_decisions_near_threshold_match_monte_carlo(self, alpha, m, sigma, mean):
+        cfg = config(m=m, alpha=alpha, noise_sigma=sigma)
+        lower, upper = draw_window(mean, cfg)
+        draws = np.array(neighbours(lower, 8) + neighbours(upper, 8))
+        decided = _rejections(draws[:, None], np.array([mean]), cfg)[:, 0]
+        for draw, rejects in zip(draws.tolist(), decided.tolist()):
+            # the statistic as simulate_estimation_round forms it
+            statistics = mean + sigma * np.full(m, draw)
+            assert estimate_active_count(statistics, cfg).estimated_count == (m if rejects else 0)
 
 
 class TestMonteCarloEstimation:
