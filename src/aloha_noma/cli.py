@@ -309,8 +309,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     records = []
     for config in configs:
+        try:
+            stats = simcore.run_simulation(config)
+        except MemoryError:
+            raise ConfigError(
+                f"horizon_s: cannot allocate the packets of {config.horizon!r} s "
+                f"at offered_load_g {config.offered_load_g!r}"
+            ) from None
+        # printed after the run, so that an allocation error is the first line
         print(f"simulate: seed={config.seed}", file=sys.stderr)
-        stats = simcore.run_simulation(config)
         records.append(
             {
                 "seed": config.seed,
@@ -385,8 +392,14 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
             stats = protocol.run_session(
                 frames, activation, devices, schedule, hyp, sic, policy, seed
             )
-        except MemoryError:
-            raise ConfigError(f"frames: cannot allocate {frames} frames") from None
+        except MemoryError as exc:
+            # run_session names frame_count where its per-frame rows fail; any
+            # other allocation is one of a frame's M-sized arrays
+            if str(exc).startswith("frame_count:"):
+                raise ConfigError(f"frames: cannot allocate {frames} frames") from None
+            raise ConfigError(
+                f"hypothesis.m: cannot allocate a frame's arrays of M = {hyp.m}"
+            ) from None
         # printed after the session, so that an allocation error is the first line
         print(f"frame-session: seed={seed}", file=sys.stderr)
         # every column after the seed is the SessionStats field of that name

@@ -267,7 +267,8 @@ def run_session(
 
     Before each frame every idle device turns active with the given
     probability; per-frame seeds derive from the session seed, so the whole
-    session is reproducible.
+    session is reproducible.  A MemoryError from the per-frame rows names
+    ``frame_count``.
     """
     if operator.index(frame_count) < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
@@ -276,11 +277,13 @@ def run_session(
             f"activation_probability must be in [0, 1], got {activation_probability!r}"
         )
     rng = np.random.default_rng(seed)
-    frame_seeds = rng.integers(0, 2**63 - 1, size=frame_count)
-
-    # five numbers per frame, not the FrameResults, so a session's memory
-    # does not grow with its frame count beyond these rows
-    per_frame = np.empty((5, frame_count))
+    try:
+        frame_seeds = rng.integers(0, 2**63 - 1, size=frame_count)
+        # five numbers per frame, not the FrameResults, so a session's memory
+        # does not grow with its frame count beyond these rows
+        per_frame = np.empty((5, frame_count))
+    except MemoryError:
+        raise MemoryError(f"frame_count: cannot allocate {frame_count} frames") from None
     start = 0.0
     for k in range(frame_count):
         idle = [d for d in devices if not d.has_data]

@@ -18,7 +18,6 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .stats import half_width
 
@@ -163,7 +162,8 @@ class SimStats:
 
 def _traffic(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Start times, in increasing order, and received powers (dBm) behind
-    ``generate_traffic``."""
+    ``generate_traffic``; without shadowing the powers are a read-only view
+    of the one base power."""
     rate = config.offered_load_g / config.packet_duration
     if rate == 0.0:
         return np.empty(0), np.empty(0)
@@ -173,17 +173,19 @@ def _traffic(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     parts: list[np.ndarray] = []
     last = 0.0
     while last < config.horizon:
-        cum = last + np.cumsum(rng.exponential(1.0 / rate, size=chunk))
+        cum = rng.exponential(1.0 / rate, size=chunk)
+        np.cumsum(cum, out=cum)
+        cum += last
         parts.append(cum)
         last = float(cum[-1])
-    starts = np.concatenate(parts)
-    starts = starts[starts < config.horizon]
+    starts = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # the gaps are >= 0, so the starts before the horizon are a prefix
+    starts = starts[: np.searchsorted(starts, config.horizon)]
     if config.shadowing_sigma_db > 0.0:
-        powers = config.base_power_dbm + rng.normal(
-            0.0, config.shadowing_sigma_db, size=starts.size
-        )
+        powers = rng.normal(0.0, config.shadowing_sigma_db, size=starts.size)
+        powers += config.base_power_dbm
     else:
-        powers = np.full(starts.size, config.base_power_dbm)
+        powers = np.broadcast_to(config.base_power_dbm, starts.shape)
     return starts, powers
 
 
@@ -200,23 +202,29 @@ def generate_traffic(config: SimConfig) -> list[Transmission]:
     ]
 
 
-def _overlap_counts(
-    starts: np.ndarray, ends: np.ndarray, of_starts: ArrayLike, of_ends: ArrayLike
-) -> np.ndarray:
-    """For each query interval [of_starts, of_ends), the number of packets
-    [starts, ends) that intersect it; ``starts`` must be sorted."""
-    # intervals [s_i, e_i) and [a, b) intersect iff s_i < b and e_i > a,
-    # so the count is #(s_i < b) - #(e_i <= a)
-    before_end = np.searchsorted(starts, of_ends, side="left")
-    done_by_start = np.searchsorted(np.sort(ends), of_starts, side="right")
-    return before_end - done_by_start
+def _overlap_counts(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """For each packet [starts[i], ends[i]), the number of packets, itself
+    included, whose intervals meet it; ``starts`` must be sorted."""
+    # [s_i, e_i) and [s_j, e_j) meet iff s_j < e_i and e_j > s_i, so the
+    # count is #(s_j < e_i) - #(e_j <= s_i)
+    before_end = np.searchsorted(starts, ends, side="left")
+    # with the starts sorted, e_j <= s_i iff at most i starts lie before
+    # e_j, so #(e_j <= s_i) = #(before_end_j <= i): a running sum of counts
+    done_by_start = np.bincount(before_end, minlength=starts.size + 1)[:-1]
+    np.cumsum(done_by_start, out=done_by_start)
+    before_end -= done_by_start
+    return before_end
 
 
 def overlap_count(tx: Transmission, transmissions: list[Transmission]) -> int:
     """Number of transmissions (tx included) intersecting tx's interval."""
-    starts = np.sort([t.start_time for t in transmissions])
-    ends = np.array([t.end_time for t in transmissions])
-    return int(_overlap_counts(starts, ends, tx.start_time, tx.end_time))
+    # counted with tx appended, which adds tx itself once more; as the last
+    # packet it holds the largest index, so order.argmax() is its position
+    packets = [*transmissions, tx]
+    starts = np.array([t.start_time for t in packets])
+    order = np.argsort(starts, kind="stable")
+    ends = np.array([t.end_time for t in packets])
+    return int(_overlap_counts(starts[order], ends[order])[order.argmax()]) - 1
 
 
 def _dbm_to_mw(dbm: Iterable[float]) -> list[float]:
@@ -327,7 +335,7 @@ def _resolve(
     starts in id order, so that positions break ties.
     """
     if sic.mode is SicMode.IDEAL:
-        return _overlap_counts(starts, ends, starts, ends) <= sic.degree
+        return _overlap_counts(starts, ends) <= sic.degree
     # maximal transitively-overlapping clusters: a packet opens a new
     # cluster iff it starts at or after every earlier end
     opens = np.empty(starts.size, dtype=bool)
@@ -339,11 +347,17 @@ def _resolve(
     powers_mw = _mw(powers_dbm)
     noise_mw, theta = _mw(np.array([sic.noise_floor_dbm, sic.capture_threshold_db])).tolist()
     flags = np.zeros(starts.size, dtype=bool)
+    # the clusters grouped by size, each group in start order: a stable
+    # sort, a radix sort on sizes that fit 16 bits, and one slice per size
+    grouped = firsts[np.argsort(sizes.astype(np.min_scalar_type(sizes.max())), kind="stable")]
+    per_size = np.bincount(sizes)
+    present = np.flatnonzero(per_size)
+    bounds = np.cumsum(per_size[present]).tolist()
     # the _decode_chains walk on all clusters of one size at once, a row
     # each; as in Python, sums past float range are inf and 0 * inf is nan
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in np.unique(sizes).tolist():
-            rows = firsts[sizes == n, None] + np.arange(n)
+        for n, lo, hi in zip(present.tolist(), [0, *bounds], bounds):
+            rows = grouped[lo:hi, None] + np.arange(n)
             mw = powers_mw[rows]
             # strongest first; the stable sort keeps ties in (start, id) order
             rank = np.argsort(-mw, axis=1, kind="stable")
@@ -397,9 +411,9 @@ def run_simulation(config: SimConfig) -> SimStats:
     # starts are sorted, so the measured packets are a suffix
     first = int(np.searchsorted(starts, config.warmup))
     offered = starts.size - first
-    busy = np.clip(ends, config.warmup, config.horizon) - np.clip(
-        starts, config.warmup, config.horizon
-    )
+    # ends is not needed past here, so it holds each packet's busy time
+    busy = np.clip(ends, config.warmup, config.horizon, out=ends)
+    busy -= np.clip(starts, config.warmup, config.horizon)
     mean_concurrency = float(busy.sum() / span)
     if offered == 0:
         return SimStats(0, 0, 0.0, mean_concurrency, 0.0, degenerate=True)
@@ -407,11 +421,10 @@ def run_simulation(config: SimConfig) -> SimStats:
     succeeded = int(ok[first:].sum())
     throughput = succeeded * config.packet_duration / span
 
-    batch_of = ((starts[first:] - config.warmup) / span * BATCH_COUNT).astype(int)
+    # the batch of each measured success, by its start
+    batch_of = ((starts[first:][ok[first:]] - config.warmup) / span * BATCH_COUNT).astype(int)
     np.clip(batch_of, 0, BATCH_COUNT - 1, out=batch_of)
-    batch_successes = np.bincount(
-        batch_of, weights=ok[first:].astype(float), minlength=BATCH_COUNT
-    )
+    batch_successes = np.bincount(batch_of, minlength=BATCH_COUNT)
     batch_throughputs = batch_successes * config.packet_duration / (span / BATCH_COUNT)
     return SimStats(
         offered=offered,

@@ -733,6 +733,13 @@ BIG_INT = "1" + "0" * 400
          None, "points"),
         (["estimator-bench"], dict(BENCH_CONFIG, trials=10**16), "trials/m_values"),
         (["estimator-bench"], dict(BENCH_CONFIG, m_values=[10**16]), "trials/m_values"),
+        (["simulate"], {"offered_load_g": 1000.0, "horizon_s": 1e12}, "horizon_s"),
+        (
+            ["frame-session"],
+            dict(ODD_VALUE_BASES["frame-session"], frames=3,
+                 hypothesis=dict(ODD_VALUE_BASES["frame-session"]["hypothesis"], m=10**16)),
+            "hypothesis.m",
+        ),
     ],
     ids=[
         "simulate-flag-seed", "simulate-config-seed", "frame-session-seed",
@@ -740,6 +747,7 @@ BIG_INT = "1" + "0" * 400
         "noise-sigma-infinite", "mean-signal-overflow", "m-bool", "curve-degree-0",
         "horizon-past-float-range", "curve-grid-rounds-to-repeats", "frames-unallocatable",
         "points-unallocatable", "trials-unallocatable", "m-values-unallocatable",
+        "horizon-unallocatable", "hypothesis-m-unallocatable",
     ],
 )
 def test_former_tracebacks_exit_2(capsys, tmp_path, argv, config, field):

@@ -385,6 +385,11 @@ class TestRunSession:
         with pytest.raises(ValueError):
             run_session(5, 1.5, devices(3), seed=1, **self.run_args())
 
+    def test_unallocatable_frame_rows_name_frame_count(self):
+        # past the 47-bit address space, so the allocation fails at once
+        with pytest.raises(MemoryError, match="^frame_count: "):
+            run_session(10**16, 0.5, devices(3), seed=1, **self.run_args())
+
 
 def test_frame_trace_golden_file():
     trace = []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aloha_noma.simcore import (
@@ -17,6 +17,7 @@ from aloha_noma.simcore import (
     _decode_chains,
     _decode_cluster,
     _mw,
+    _overlap_counts,
     generate_traffic,
     overlap_count,
     resolve_sic,
@@ -147,6 +148,23 @@ def mixed_durations(draw):
     )
     ids = draw(st.permutations(range(len(rows))))
     return [Transmission(i, s, d) for i, (s, d) in zip(ids, rows)]
+
+
+class TestIdealCounts:
+    @given(mixed_durations())
+    @example([Transmission(0, 2.0, 1.0)])
+    # tied starts, and ends that touch later starts
+    @example(packets(0.0, 1.0, 1.0, 2.0, 2.5))
+    @example([Transmission(1, 0.0, 2.0), Transmission(0, 0.5, 0.5), Transmission(2, 2.0, 1.0)])
+    def test_counts_match_brute_force(self, txs):
+        expected = brute_force_overlaps(txs)
+        starts = np.array([t.start_time for t in txs])
+        order = np.argsort(starts, kind="stable")
+        ends = np.array([t.end_time for t in txs])
+        counts = np.empty(len(txs), dtype=int)
+        counts[order] = _overlap_counts(starts[order], ends[order])
+        assert counts.tolist() == expected
+        assert [overlap_count(t, txs) for t in txs] == expected
 
 
 class TestResolveSicIdeal:
@@ -538,5 +556,34 @@ class TestRunSimulation:
     def test_pinned_stats(self, sic, extra, expected):
         cfg = SimConfig(
             offered_load_g=1.0, packet_duration=1.0, horizon=2e4, sic=sic, warmup=100.0, **extra
+        )
+        assert run_simulation(cfg) == expected
+
+    # the four channel-benchmark runs (bench/workloads.py SIMULATIONS) at
+    # seed 12: 1e5-4e5 packets, power-aware clusters of up to 71 packets
+    @pytest.mark.parametrize(
+        "g, degree, mode, horizon, expected",
+        [
+            (0.5, 1, SicMode.IDEAL, 200_000.0,
+             SimStats(99911, 36765, 0.18383419170958548, 0.4995787918087979,
+                      0.001682804984874889)),
+            (20.0, 32, SicMode.IDEAL, 20_000.0,
+             SimStats(399392, 35501, 1.7759379689844923, 19.97943033388553,
+                      0.06744908813778183)),
+            (0.5, 2, SicMode.POWER_AWARE, 200_000.0,
+             SimStats(99911, 53124, 0.26563328166408323, 0.4995787918087979,
+                      0.0023082229760410275)),
+            (2.0, 8, SicMode.POWER_AWARE, 50_000.0,
+             SimStats(99897, 4232, 0.08465693138627725, 1.9983150125723599,
+                      0.0029276070843491657)),
+        ],
+        ids=["ideal_low_load", "ideal_high_concurrency", "power_low_load", "power_mid_load"],
+    )
+    def test_pinned_stats_at_benchmark_scale(self, g, degree, mode, horizon, expected):
+        power_aware = mode is SicMode.POWER_AWARE
+        cfg = SimConfig(
+            offered_load_g=g, packet_duration=1.0, horizon=horizon,
+            sic=SicModel(degree, mode, capture_threshold_db=6.0, noise_floor_dbm=-30.0),
+            seed=12, warmup=10.0, shadowing_sigma_db=6.0 if power_aware else 0.0,
         )
         assert run_simulation(cfg) == expected
