@@ -278,7 +278,8 @@ def cmd_analytic_curve(args: argparse.Namespace) -> int:
     _single_replication(args, "analytic-curve")
     try:
         grid = np.linspace(args.g_min, args.g_max, args.points)
-    except MemoryError:
+    # numpy raises ValueError for a size past its index range
+    except (MemoryError, ValueError):
         raise ConfigError(f"points: cannot allocate {args.points} loads") from None
     if not (grid[1:] > grid[:-1]).all():
         raise ConfigError(
@@ -311,7 +312,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for config in configs:
         try:
             stats = simcore.run_simulation(config)
-        except MemoryError:
+        except (MemoryError, ValueError):
             raise ConfigError(
                 f"horizon_s: cannot allocate the packets of {config.horizon!r} s "
                 f"at offered_load_g {config.offered_load_g!r}"
@@ -392,7 +393,7 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
             stats = protocol.run_session(
                 frames, activation, devices, schedule, hyp, sic, policy, seed
             )
-        except MemoryError as exc:
+        except (MemoryError, ValueError) as exc:
             # run_session names frame_count where its per-frame rows fail; any
             # other allocation is one of a frame's M-sized arrays
             if str(exc).startswith("frame_count:"):
@@ -467,7 +468,7 @@ def cmd_estimator_bench(args: argparse.Namespace) -> int:
         try:
             null_run = estimator.monte_carlo_estimation([], hyp, trials, seed=seed)
             active_run = estimator.monte_carlo_estimation(active, hyp, trials, seed=seed + 1)
-        except MemoryError:
+        except (MemoryError, ValueError):
             raise ConfigError(
                 f"trials/m_values: cannot allocate {trials} trials of M = {hyp.m}"
             ) from None

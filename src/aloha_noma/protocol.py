@@ -22,7 +22,7 @@ import numpy as np
 
 from .estimator import HypothesisConfig, simulate_estimation_round
 from .simcore import SicMode, SicModel, _decode_cluster
-from .stats import half_width
+from .stats import batch_half_width
 
 __all__ = [
     "BackoffPolicy",
@@ -238,7 +238,9 @@ def run_frame(
 
 @dataclass(frozen=True)
 class SessionStats:
-    """Per-frame means (with 95% half-widths) over one session."""
+    """Per-frame means over one session, with 95% half-widths from batch means
+    over min(BATCH_COUNT, frames) contiguous runs of frames, since the state
+    carries over from frame to frame; a single-frame session reports 0.0."""
 
     frames: int
     mean_estimated_count: float
@@ -267,8 +269,8 @@ def run_session(
 
     Before each frame every idle device turns active with the given
     probability; per-frame seeds derive from the session seed, so the whole
-    session is reproducible.  A MemoryError from the per-frame rows names
-    ``frame_count``.
+    session is reproducible.  Per-frame rows that cannot be allocated raise
+    a MemoryError naming ``frame_count``.
     """
     if operator.index(frame_count) < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
@@ -282,7 +284,7 @@ def run_session(
         # five numbers per frame, not the FrameResults, so a session's memory
         # does not grow with its frame count beyond these rows
         per_frame = np.empty((5, frame_count))
-    except MemoryError:
+    except (MemoryError, ValueError):
         raise MemoryError(f"frame_count: cannot allocate {frame_count} frames") from None
     start = 0.0
     for k in range(frame_count):
@@ -320,9 +322,9 @@ def run_session(
         mean_payload_successes=float(np.mean(successes)),
         mean_raw_throughput=float(np.mean(raws)),
         mean_effective_throughput=float(np.mean(effectives)),
-        raw_ci_half_width=half_width(raws),
-        effective_ci_half_width=half_width(effectives),
-        error_ci_half_width=half_width(errors),
+        raw_ci_half_width=batch_half_width(raws),
+        effective_ci_half_width=batch_half_width(effectives),
+        error_ci_half_width=batch_half_width(errors),
     )
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .stats import half_width
+from .stats import BATCH_COUNT, batch_half_width
 
 __all__ = [
     "BATCH_COUNT",
@@ -33,9 +33,6 @@ __all__ = [
     "resolve_sic",
     "run_simulation",
 ]
-
-# batch-means estimate of the throughput confidence interval
-BATCH_COUNT = 20
 
 
 class SicMode(str, Enum):
@@ -169,6 +166,8 @@ def _traffic(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0), np.empty(0)
     rng = np.random.default_rng(config.seed)
     expected = rate * config.horizon
+    if expected == math.inf:
+        raise MemoryError("cannot allocate an infinite expected packet count")
     chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
     parts: list[np.ndarray] = []
     last = 0.0
@@ -398,7 +397,7 @@ def run_simulation(config: SimConfig) -> SimStats:
     """Generate traffic, resolve reception, and measure throughput.
 
     Packets starting before the warmup are excluded from the counts but
-    still interfere.  The confidence half-width comes from batch means over
+    still interfere.  The confidence half-width is ``batch_half_width`` over
     BATCH_COUNT equal spans of the measured window.
     """
     starts, powers_dbm = _traffic(config)
@@ -418,18 +417,14 @@ def run_simulation(config: SimConfig) -> SimStats:
     if offered == 0:
         return SimStats(0, 0, 0.0, mean_concurrency, 0.0, degenerate=True)
 
-    succeeded = int(ok[first:].sum())
+    # each measured success adds its duration to the batch of its start
+    success_times = starts[first:][ok[first:]] - config.warmup
+    succeeded = success_times.size
     throughput = succeeded * config.packet_duration / span
-
-    # the batch of each measured success, by its start
-    batch_of = ((starts[first:][ok[first:]] - config.warmup) / span * BATCH_COUNT).astype(int)
-    np.clip(batch_of, 0, BATCH_COUNT - 1, out=batch_of)
-    batch_successes = np.bincount(batch_of, minlength=BATCH_COUNT)
-    batch_throughputs = batch_successes * config.packet_duration / (span / BATCH_COUNT)
     return SimStats(
         offered=offered,
         succeeded=succeeded,
         normalized_throughput=throughput,
         mean_concurrency=mean_concurrency,
-        confidence_half_width=half_width(batch_throughputs),
+        confidence_half_width=batch_half_width(config.packet_duration, success_times, span),
     )

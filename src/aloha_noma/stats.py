@@ -1,4 +1,4 @@
-"""Confidence-interval helpers shared by the simulators."""
+"""Confidence intervals shared by the simulators: one batch-means rule."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-__all__ = ["half_width"]
+__all__ = ["BATCH_COUNT", "batch_half_width", "half_width"]
+
+BATCH_COUNT = 20
 
 
 def half_width(samples: Sequence[float]) -> float:
@@ -24,3 +26,22 @@ def half_width(samples: Sequence[float]) -> float:
     # to import; stdtrit gives the bits of scipy.stats.t.ppf
     quantile = special.stdtrit(n - 1, 0.5 + 0.95 / 2.0)
     return float(quantile * x.std(ddof=1) / math.sqrt(n))
+
+
+def batch_half_width(weights, times: np.ndarray | None = None, span: float | None = None) -> float:
+    """``half_width`` over the batch means (Schmeiser 1982, "Batch size effects
+    in the analysis of simulation output") of a run's ``weights``.  Given
+    ``times`` in [0, span): BATCH_COUNT equal spans, each valued at its count
+    times the scalar ``weights`` per unit of time.  Else one weight per frame:
+    min(BATCH_COUNT, frames) contiguous runs whose sizes differ by at most one,
+    each valued at the mean of its frames; one frame gives 0.0."""
+    if times is None:
+        frames = len(weights)
+        batch_of = np.arange(frames)
+        batch_of *= min(BATCH_COUNT, frames)
+        batch_of //= frames
+        return half_width(np.bincount(batch_of, weights) / np.bincount(batch_of))
+    # a time that rounds up to the span's end falls in the last batch
+    batch_of = np.minimum((times / span * BATCH_COUNT).astype(int), BATCH_COUNT - 1)
+    sums = np.bincount(batch_of, minlength=BATCH_COUNT) * weights
+    return half_width(sums / (span / BATCH_COUNT))

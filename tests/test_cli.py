@@ -740,6 +740,21 @@ BIG_INT = "1" + "0" * 400
                  hypothesis=dict(ODD_VALUE_BASES["frame-session"]["hypothesis"], m=10**16)),
             "hypothesis.m",
         ),
+        # past 2**63, where numpy rejects the size with a ValueError
+        (["frame-session"], dict(ODD_VALUE_BASES["frame-session"], frames=10**19), "frames"),
+        (["analytic-curve", "5", "--g-min", "0", "--g-max", "1", "--points", str(10**19)],
+         None, "points"),
+        (["estimator-bench"], dict(BENCH_CONFIG, trials=10**19), "trials/m_values"),
+        (["estimator-bench"], dict(BENCH_CONFIG, m_values=[10**19]), "trials/m_values"),
+        (
+            ["frame-session"],
+            dict(ODD_VALUE_BASES["frame-session"], frames=3,
+                 hypothesis=dict(ODD_VALUE_BASES["frame-session"]["hypothesis"], m=10**19)),
+            "hypothesis.m",
+        ),
+        # about 1e19 expected packets, and an infinite expected count
+        (["simulate"], {"offered_load_g": 1e16, "horizon_s": 1000}, "horizon_s"),
+        (["simulate"], {"offered_load_g": 1e308, "horizon_s": 1e10}, "horizon_s"),
     ],
     ids=[
         "simulate-flag-seed", "simulate-config-seed", "frame-session-seed",
@@ -747,7 +762,9 @@ BIG_INT = "1" + "0" * 400
         "noise-sigma-infinite", "mean-signal-overflow", "m-bool", "curve-degree-0",
         "horizon-past-float-range", "curve-grid-rounds-to-repeats", "frames-unallocatable",
         "points-unallocatable", "trials-unallocatable", "m-values-unallocatable",
-        "horizon-unallocatable", "hypothesis-m-unallocatable",
+        "horizon-unallocatable", "hypothesis-m-unallocatable", "frames-past-int64",
+        "points-past-int64", "trials-past-int64", "m-values-past-int64",
+        "hypothesis-m-past-int64", "load-past-int64-packets", "load-infinite-packets",
     ],
 )
 def test_former_tracebacks_exit_2(capsys, tmp_path, argv, config, field):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from aloha_noma import protocol
 from aloha_noma.estimator import HypothesisConfig
@@ -321,8 +322,8 @@ class TestRunSession:
                 SicModel(degree=32), 11,
                 SessionStats(300, 4.95, 4.926666666666667, 0.023333333333333334,
                              4.926666666666667, 4.926666666666667, 4.7296,
-                             0.2207203238486436, 0.21189151089469785,
-                             0.017180490338607288),
+                             0.24271818414598426, 0.23300945678014492,
+                             0.018319423905231582),
             ),
             (
                 0.1, 50,
@@ -330,8 +331,8 @@ class TestRunSession:
                 SicModel(degree=8, mode=SicMode.POWER_AWARE), 12,
                 SessionStats(300, 22.416666666666668, 22.393333333333334,
                              0.023333333333333334, 2.98, 2.98, 2.8608000000000002,
-                             0.23726417256458365, 0.22777360566200028,
-                             0.017180490338607288),
+                             0.31235426663430954, 0.2998600959689372,
+                             0.015268517125312495),
             ),
         ],
         ids=["ideal", "power_aware"],
@@ -342,6 +343,28 @@ class TestRunSession:
             BackoffPolicy(), seed=seed,
         )
         assert stats == expected
+
+    def test_power_aware_intervals_cover_mean_over_seeds(self):
+        # the backlog and the power walk carry over from frame to frame, so
+        # frames are not independent; honest 95% intervals of independent
+        # sessions cover the mean over sessions as a Binomial(sessions, 0.95)
+        # count, and their mean half-width matches 1.96 sd of the session
+        # means to within the sampling error of that sd, 1/sqrt(2(n-1))
+        sessions = 100
+        means, widths = [], []
+        for seed in range(900, 900 + sessions):
+            stats = run_session(
+                300, 0.1, devices(50, active=[]), FrameSchedule(),
+                HypothesisConfig(m=50, alpha=0.05, mean_signal=8.0, noise_sigma=1.0),
+                SicModel(degree=8, mode=SicMode.POWER_AWARE), BackoffPolicy(), seed=seed,
+            )
+            means.append(stats.mean_raw_throughput)
+            widths.append(stats.raw_ci_half_width)
+        means, widths = np.array(means), np.array(widths)
+        covered = np.count_nonzero(np.abs(means - means.mean()) <= widths)
+        assert covered >= scipy_stats.binom.ppf(0.001, sessions, 0.95)
+        spread = 1.96 * means.std(ddof=1)
+        assert widths.mean() / spread >= 1.0 - 3.0 / math.sqrt(2 * (sessions - 1))
 
     def test_memory_does_not_grow_with_frames(self):
         # a session keeps a few numbers per frame, not the frame results

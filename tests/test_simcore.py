@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
+from aloha_noma import analytic
 from aloha_noma.simcore import (
     SicMode,
     SicModel,
@@ -558,6 +560,48 @@ class TestRunSimulation:
             offered_load_g=1.0, packet_duration=1.0, horizon=2e4, sic=sic, warmup=100.0, **extra
         )
         assert run_simulation(cfg) == expected
+
+    # a non-unit duration, where a batch sum formed in another order (each
+    # success adding its duration, or one duration-per-span factor) moves
+    # the last bits of the half-width
+    @pytest.mark.parametrize(
+        "sic, extra, expected",
+        [
+            (
+                SicModel(degree=2),
+                {"seed": 31},
+                SimStats(19876, 8212, 0.4126633165829146, 0.9988628425875534,
+                         0.010223982917660435),
+            ),
+            (
+                SicModel(degree=3, mode=SicMode.POWER_AWARE),
+                {"seed": 37, "base_power_dbm": -10.0, "shadowing_sigma_db": 6.0},
+                SimStats(19969, 4810, 0.24170854271356784, 1.00352816985738,
+                         0.006495214643652973),
+            ),
+        ],
+        ids=["ideal", "power_aware"],
+    )
+    def test_pinned_stats_at_non_unit_duration(self, sic, extra, expected):
+        cfg = SimConfig(
+            offered_load_g=1.0, packet_duration=0.37, horizon=7400.0, sic=sic, warmup=37.0,
+            **extra,
+        )
+        assert run_simulation(cfg) == expected
+
+    @pytest.mark.parametrize(
+        "degree, g", [(1, 0.5), (5, analytic.max_throughput(5).g_star)], ids=["pure", "n5_at_g_star"]
+    )
+    def test_intervals_cover_analytic_throughput(self, degree, g):
+        # 95% intervals from independent seeds cover the true S as a
+        # Binomial(runs, 0.95) count; fewer than its 0.1% quantile fails
+        runs = 400
+        covered = 0
+        for seed in range(runs):
+            stats = run_simulation(sim_config(g=g, horizon=2e4, degree=degree, seed=seed))
+            error = abs(stats.normalized_throughput - analytic.throughput(g, degree))
+            covered += error <= stats.confidence_half_width
+        assert covered >= scipy_stats.binom.ppf(0.001, runs, 0.95)
 
     # the four channel-benchmark runs (bench/workloads.py SIMULATIONS) at
     # seed 12: 1e5-4e5 packets, power-aware clusters of up to 71 packets
