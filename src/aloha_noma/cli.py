@@ -441,6 +441,13 @@ def _bench_cell(
         raise ValueError(f"{_BENCH_LISTS[str(exc).split(':')[0]]}: {exc}") from None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_estimator_bench(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     _single_replication(args, "estimator-bench")
@@ -461,8 +468,8 @@ def cmd_estimator_bench(args: argparse.Namespace) -> int:
         for m in m_values for alpha in alphas for snr in snrs
     ]
 
-    records = []
-    for row_index, (snr, hyp) in enumerate(cells):
+    def run_cell(row_index: int, cell: tuple[float, estimator.HypothesisConfig]) -> dict:
+        snr, hyp = cell
         active = range(max(1, round(active_fraction * hyp.m)))
         seed = base_seed + 2 * row_index
         try:
@@ -472,10 +479,18 @@ def cmd_estimator_bench(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"trials/m_values: cannot allocate {trials} trials of M = {hyp.m}"
             ) from None
-        records.append(
-            {"M": hyp.m, "alpha": hyp.alpha, "snr": snr, "fwer": null_run.fwer,
-             "power": active_run.power, "mean_abs_error": active_run.mean_abs_error}
-        )
+        return {"M": hyp.m, "alpha": hyp.alpha, "snr": snr, "fwer": null_run.fwer,
+                "power": active_run.power, "mean_abs_error": active_run.mean_abs_error}
+
+    # Each cell seeds its own streams and numpy fills normals without the
+    # GIL, so the cells run on every usable CPU; map keeps the row order.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max(1, min(len(cells), _usable_cpus())))
+    try:
+        records = list(pool.map(run_cell, range(len(cells)), cells))
+    finally:
+        pool.shutdown(cancel_futures=True)
     _write_csv(args, ESTIMATOR_BENCH_HEADER, records)
     _emit_summary(
         {

@@ -247,25 +247,39 @@ def _first_draw(x: float, mean: float, sigma: float) -> float:
     return _key_float(_first_true(lambda z: _scaled(z, mean, sigma) >= x))
 
 
-def _rejections(draws: np.ndarray, means: np.ndarray, config: HypothesisConfig) -> np.ndarray:
-    """The p-value rule on standard-normal draws (trials x M) of columns
-    with the given means, as ``_p_value_rejects(_upper_tail(_scaled(...)))``
-    decides them draw by draw.
+# standard-normal draws per Monte Carlo block: rows of M draws, at least one
+_BLOCK_DRAWS = 2**15
 
-    The statistic window maps to one window of draws per distinct mean;
-    a draw below it never rejects and one at or above it always does, so
-    only draws inside a non-empty window need the rule itself.
+
+def _draw_window(means: np.ndarray, config: HypothesisConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column draws ``(lower, upper)``: a draw below lower never
+    rejects and one at or above upper always does.
+
+    The statistic window maps to one window of draws per distinct mean.
     """
     window = _statistic_window(config)
     distinct, column = np.unique(means, return_inverse=True)
     bounds = [[_first_draw(x, mu, config.noise_sigma) for x in window] for mu in distinct.tolist()]
     lower, upper = np.array(bounds)[column].T
+    return lower, upper
+
+
+def _decide(draws, means, lower, upper, config: HypothesisConfig) -> np.ndarray:
+    """The p-value rule on draws (rows x M) given their draw window; only
+    draws inside a non-empty window need the rule itself."""
     rejected = draws >= upper
     if (lower < upper).any():
         rows, cols = np.nonzero((draws >= lower) & (draws < upper))
         statistics = _scaled(draws[rows, cols], means[cols], config.noise_sigma)
         rejected[rows, cols] = _p_value_rejects(_upper_tail(statistics), config)
     return rejected
+
+
+def _rejections(draws: np.ndarray, means: np.ndarray, config: HypothesisConfig) -> np.ndarray:
+    """The p-value rule on standard-normal draws (trials x M) of columns
+    with the given means, as ``_p_value_rejects(_upper_tail(_scaled(...)))``
+    decides them draw by draw."""
+    return _decide(draws, means, *_draw_window(means, config), config)
 
 
 def monte_carlo_estimation(
@@ -277,24 +291,38 @@ def monte_carlo_estimation(
     ``power`` the mean detection rate over truly active devices (NaN when
     none are active).  With trials = 1 the draw and every decision match
     ``simulate_estimation_round(true_active, config, seed)`` exactly: the
-    tests are decided on the draws by ``_rejections``, which gives the
-    decisions of ``_p_value_rejects`` on scipy's ``erfc`` p-values, as
-    ``estimate_active_count`` makes them.
+    tests are decided on the draws as ``_rejections`` decides them, which
+    gives the decisions of ``_p_value_rejects`` on scipy's ``erfc``
+    p-values, as ``estimate_active_count`` makes them.
+
+    The stream is drawn in blocks of about ``_BLOCK_DRAWS`` normals; the
+    generator's normals do not depend on how the stream is split and every
+    sum is an exact integer, so the result has the bits of one
+    ``trials x M`` draw while memory holds one block plus a count per trial.
     """
     if operator.index(trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     mask = _active_mask(true_active, config.m)
     true_count = int(mask.sum())
     means = np.where(mask, config.signal_means(), 0.0)
+    lower, upper = _draw_window(means, config)
+    counts = np.empty(trials, dtype=np.intp)
+    rows = max(1, _BLOCK_DRAWS // config.m)
     rng = np.random.default_rng(seed)
-    rejected = _rejections(rng.standard_normal((trials, config.m)), means, config)
-    counts = np.count_nonzero(rejected, axis=1)
-    false_any = int(np.count_nonzero(rejected[:, ~mask].any(axis=1)))
-    detections = int(np.count_nonzero(rejected, axis=0)[mask].sum())
+    null = ~mask
+    false_any = detections = 0
+    for start in range(0, trials, rows):
+        block = counts[start:start + rows]
+        rejected = _decide(rng.standard_normal((block.size, config.m)), means, lower, upper, config)
+        block[:] = np.count_nonzero(rejected, axis=1)
+        false_any += int(np.count_nonzero(rejected[:, null].any(axis=1)))
+        detections += int(np.count_nonzero(rejected[:, mask]))
+    mean_estimate = float(counts.mean())
+    counts -= true_count  # in place: no second trials-sized array
     return MonteCarloEstimation(
         trials=trials,
         fwer=false_any / trials,
         power=detections / (trials * true_count) if true_count else math.nan,
-        mean_estimate=float(counts.mean()),
-        mean_abs_error=float(np.abs(counts - true_count).mean()),
+        mean_estimate=mean_estimate,
+        mean_abs_error=float(np.abs(counts, out=counts).mean()),
     )

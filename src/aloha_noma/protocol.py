@@ -281,9 +281,10 @@ def run_session(
     rng = np.random.default_rng(seed)
     try:
         frame_seeds = rng.integers(0, 2**63 - 1, size=frame_count)
-        # five numbers per frame, not the FrameResults, so a session's memory
-        # does not grow with its frame count beyond these rows
-        per_frame = np.empty((5, frame_count))
+        # four numbers per frame, not the FrameResults, so a session's memory
+        # does not grow with its frame count beyond these rows; run_frame
+        # sets raw_throughput to payload_successes, so one row holds both
+        per_frame = np.empty((4, frame_count))
     except (MemoryError, ValueError):
         raise MemoryError(f"frame_count: cannot allocate {frame_count} frames") from None
     start = 0.0
@@ -306,21 +307,21 @@ def run_session(
         per_frame[:, k] = (
             r.estimated_count,
             r.true_active_count,
-            r.payload_successes,
             r.raw_throughput,
             r.effective_throughput,
         )
         start += schedule.total
 
-    estimated, true_active, successes, raws, effectives = per_frame
+    estimated, true_active, raws, effectives = per_frame
     errors = np.abs(estimated - true_active)
+    mean_raw = float(np.mean(raws))
     return SessionStats(
         frames=frame_count,
         mean_estimated_count=float(np.mean(estimated)),
         mean_true_active=float(np.mean(true_active)),
         mean_abs_estimation_error=float(np.mean(errors)),
-        mean_payload_successes=float(np.mean(successes)),
-        mean_raw_throughput=float(np.mean(raws)),
+        mean_payload_successes=mean_raw,
+        mean_raw_throughput=mean_raw,
         mean_effective_throughput=float(np.mean(effectives)),
         raw_ci_half_width=batch_half_width(raws),
         effective_ci_half_width=batch_half_width(effectives),

@@ -633,6 +633,41 @@ def test_outputs_match_pinned_bytes(capsys, tmp_path, name):
     assert run_pinned(capsys, tmp_path, name) == (pinned[name]["csv"], pinned[name]["stdout"])
 
 
+class _RecordingPool:
+    """ThreadPoolExecutor stand-in that records each pool's worker count."""
+
+    def __init__(self, pool_class):
+        self.pool_class, self.workers = pool_class, []
+
+    def __call__(self, max_workers):
+        self.workers.append(max_workers)
+        return self.pool_class(max_workers)
+
+
+@pytest.mark.parametrize("cpus", [{0}, None], ids=["one-cpu", "all-cpus"])
+def test_estimator_bench_bytes_do_not_depend_on_worker_count(capsys, tmp_path, monkeypatch, cpus):
+    import concurrent.futures
+
+    pinned = json.loads((DATA_DIR / "cli_outputs.json").read_text(encoding="utf-8"))
+    recorder = _RecordingPool(concurrent.futures.ThreadPoolExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorder)
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    entry = pinned["estimator-bench"]
+    assert run_pinned(capsys, tmp_path, "estimator-bench") == (entry["csv"], entry["stdout"])
+    # the pinned run has 4 cells
+    assert recorder.workers == [1 if cpus is not None else min(4, cli._usable_cpus())]
+
+
+def test_estimator_bench_names_the_failing_cell(capsys, tmp_path):
+    cfg = write_config(tmp_path, "bench.json", dict(BENCH_CONFIG, m_values=[1, 10**16]))
+    out = tmp_path / "bench.csv"
+    code, stdout, err = run_cli(capsys, "estimator-bench", cfg, "--out", str(out))
+    assert code == 2
+    assert err == f"error: trials/m_values: cannot allocate 5000 trials of M = {10**16}\n"
+    assert stdout == "" and not out.exists()
+
+
 # Base configs for the odd-value sweep: small runs that touch every key,
 # power-aware so the SINR fields are checked too.
 ODD_VALUE_BASES = {

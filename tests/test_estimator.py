@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,6 +275,62 @@ class TestMonteCarloPinned:
         cfg = config(m=20, alpha=0.03, mean_signal=1.5, noise_sigma=0.37)
         got = monte_carlo_estimation(range(4), cfg, 5000, seed=5)
         assert repr(got) == repr(MC(trials=5000, fwer=0.0254, power=0.8592, mean_estimate=3.4626, mean_abs_error=0.5674))
+
+
+def single_draw_estimation(true_active, cfg, trials, seed):
+    """The Monte Carlo as one trials x M draw decided by ``_rejections``."""
+    mask = np.zeros(cfg.m, dtype=bool)
+    mask[list(true_active)] = True
+    means = np.where(mask, cfg.signal_means(), 0.0)
+    draws = np.random.default_rng(seed).standard_normal((trials, cfg.m))
+    rejected = _rejections(draws, means, cfg)
+    counts = np.count_nonzero(rejected, axis=1)
+    true_count = int(mask.sum())
+    detections = int(np.count_nonzero(rejected, axis=0)[mask].sum())
+    return MonteCarloEstimation(
+        trials=trials,
+        fwer=int(np.count_nonzero(rejected[:, ~mask].any(axis=1))) / trials,
+        power=detections / (trials * true_count) if true_count else math.nan,
+        mean_estimate=float(counts.mean()),
+        mean_abs_error=float(np.abs(counts - true_count).mean()),
+    )
+
+
+class TestMonteCarloBlocks:
+    """The Monte Carlo draws its stream in blocks; the results must not
+    depend on where the blocks split it."""
+
+    @pytest.mark.parametrize(
+        "cfg, active",
+        [
+            (config(m=7), [0, 3]),
+            (config(m=7, alpha=0.3, per_device_signal=(1.0, 2.0, 3.0, 0.5, 4.0, 1.5, 2.5)), [1, 2, 6]),
+            # a level where scipy's erfc is not monotone: the draw window is not empty
+            (config(m=3, alpha=0.4191443221358243, mean_signal=1.0, noise_sigma=2.0), [1]),
+            (config(m=7), []),
+        ],
+    )
+    def test_blocks_match_one_draw(self, cfg, active):
+        rows = estimator._BLOCK_DRAWS // cfg.m
+        assert estimator._BLOCK_DRAWS % cfg.m != 0
+        trials = 3 * rows + 5
+        got = monte_carlo_estimation(active, cfg, trials, seed=21)
+        assert repr(got) == repr(single_draw_estimation(active, cfg, trials, 21))
+
+    def test_m_above_the_block_draws_one_row_per_block(self):
+        cfg = config(m=estimator._BLOCK_DRAWS + 3)
+        got = monte_carlo_estimation(range(5), cfg, 3, seed=4)
+        assert repr(got) == repr(single_draw_estimation(range(5), cfg, 3, 4))
+
+    def test_memory_is_bounded_by_the_block(self):
+        # one 200000 x 50 draw would hold 80 MB of normals alone
+        tracemalloc.start()
+        try:
+            monte_carlo_estimation(range(10), config(m=50), 200_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def p_value_rule(z, mean, cfg):
