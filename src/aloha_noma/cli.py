@@ -312,7 +312,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for config in configs:
         try:
             stats = simcore.run_simulation(config)
-        except (MemoryError, ValueError):
+        # a power-aware overlap cluster is held whole, however long it grows
+        except MemoryError:
             raise ConfigError(
                 f"horizon_s: cannot allocate the packets of {config.horizon!r} s "
                 f"at offered_load_g {config.offered_load_g!r}"

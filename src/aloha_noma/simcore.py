@@ -7,19 +7,23 @@ either power-blind (ideal: a packet survives iff at most ``degree`` packets
 overlap its own interval) or power-aware (an SINR-threshold cancellation
 chain inside each maximal overlap cluster, strongest first, where a packet's
 interference is the sum of the weaker packets of its cluster).
+
+``run_simulation`` walks the arrival stream in windows of at most _WINDOW
+packets and gives the bits of a run over the whole stream at once.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .stats import BATCH_COUNT, batch_half_width
+from .stats import BATCH_COUNT, batch_counts, batch_half_width
 
 __all__ = [
     "BATCH_COUNT",
@@ -33,6 +37,15 @@ __all__ = [
     "resolve_sic",
     "run_simulation",
 ]
+
+
+# packets per window of the arrival stream; _StreamSum needs at least 128
+_WINDOW = 2**15
+# the largest expected packet count (rate x horizon) of one run
+_MAX_PACKETS = 2**32
+# the factor on the powers of a cluster whose sums pass float range: exact,
+# and it brings a sum of fewer than 2**64 finite powers back into range
+_SCALE = 2.0**-64
 
 
 class SicMode(str, Enum):
@@ -139,6 +152,12 @@ class SimConfig:
             raise ValueError(
                 f"shadowing_sigma_db: must be >= 0, got {self.shadowing_sigma_db!r}"
             )
+        expected = self.offered_load_g / self.packet_duration * self.horizon
+        if expected > _MAX_PACKETS:
+            raise ValueError(
+                f"horizon: expects {expected!r} packets (offered_load_g / packet_duration "
+                f"* horizon), more than the {_MAX_PACKETS} one run may draw"
+            )
 
 
 @dataclass(frozen=True)
@@ -157,35 +176,83 @@ class SimStats:
             raise ValueError("succeeded cannot exceed offered")
 
 
-def _traffic(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Start times, in increasing order, and received powers (dBm) behind
-    ``generate_traffic``; without shadowing the powers are a read-only view
-    of the one base power."""
+def _start_windows(
+    rng: np.random.Generator,
+    scale: float,
+    chunk: int,
+    horizon: float,
+    drawn: int = 0,
+    total: float = 0.0,
+) -> Iterator[np.ndarray]:
+    """Start times below ``horizon``, in increasing order, in windows of at
+    most _WINDOW.
+
+    The gaps are exponentials of mean ``scale``, drawn ``chunk`` at a time
+    until a chunk ends past the horizon; a chunk's starts are the running sum
+    of its gaps plus the last start of the chunk before.  Split draws, and a
+    running sum carried from window to window, give the bits of one draw and
+    one cumsum per chunk.  Once a start reaches the horizon, the rest of its
+    chunk is drawn and dropped, so that ``rng`` stands where the shadowing
+    normals begin.  ``drawn`` gaps of the first chunk, which sum to
+    ``total``, may have been drawn already.
+    """
+    base = 0.0
+    while True:
+        while drawn < chunk:
+            starts = rng.exponential(scale, size=min(_WINDOW, chunk - drawn))
+            drawn += starts.size
+            starts[0] += total
+            np.cumsum(starts, out=starts)
+            total = float(starts[-1])
+            starts += base
+            # the gaps are >= 0, so the starts before the horizon are a prefix
+            below = int(np.searchsorted(starts, horizon))
+            if below:
+                yield starts[:below]
+            if below < starts.size:
+                for left in range(chunk - drawn, 0, -_WINDOW):
+                    rng.exponential(scale, size=min(_WINDOW, left))
+                return
+        base += total
+        drawn, total = 0, 0.0
+
+
+def _traffic(config: SimConfig) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The packet count, and the start times (in increasing order) and
+    received powers (dBm) behind ``generate_traffic``, in windows of at most
+    _WINDOW packets; without shadowing the powers are read-only views of the
+    one base power.
+
+    A first pass draws every gap to count the packets, and leaves the stream
+    where the shadowing normals begin; it keeps its first window and a copy
+    of the stream after it, from which the windows are drawn again.
+    """
     rate = config.offered_load_g / config.packet_duration
     if rate == 0.0:
-        return np.empty(0), np.empty(0)
-    rng = np.random.default_rng(config.seed)
+        return 0, iter(())
     expected = rate * config.horizon
-    if expected == math.inf:
-        raise MemoryError("cannot allocate an infinite expected packet count")
     chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
-    parts: list[np.ndarray] = []
-    last = 0.0
-    while last < config.horizon:
-        cum = rng.exponential(1.0 / rate, size=chunk)
-        np.cumsum(cum, out=cum)
-        cum += last
-        parts.append(cum)
-        last = float(cum[-1])
-    starts = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    # the gaps are >= 0, so the starts before the horizon are a prefix
-    starts = starts[: np.searchsorted(starts, config.horizon)]
-    if config.shadowing_sigma_db > 0.0:
-        powers = rng.normal(0.0, config.shadowing_sigma_db, size=starts.size)
-        powers += config.base_power_dbm
-    else:
-        powers = np.broadcast_to(config.base_power_dbm, starts.shape)
-    return starts, powers
+    rng = np.random.default_rng(config.seed)
+    stream = _start_windows(rng, 1.0 / rate, chunk, config.horizon)
+    first = next(stream, None)
+    if first is None:
+        return 0, iter(())
+    replay = copy.deepcopy(rng)
+    count = first.size + sum(starts.size for starts in stream)
+    later = iter(()) if count == first.size else _start_windows(
+        replay, 1.0 / rate, chunk, config.horizon, first.size, float(first[-1])
+    )
+
+    def windows() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for starts in chain([first], later):
+            if config.shadowing_sigma_db > 0.0:
+                powers = rng.normal(0.0, config.shadowing_sigma_db, size=starts.size)
+                powers += config.base_power_dbm
+            else:
+                powers = np.broadcast_to(config.base_power_dbm, starts.shape)
+            yield starts, powers
+
+    return count, windows()
 
 
 def generate_traffic(config: SimConfig) -> list[Transmission]:
@@ -194,10 +261,12 @@ def generate_traffic(config: SimConfig) -> list[Transmission]:
     Deterministic for a given config (seed included): arrival gaps are
     drawn first, then shadowing offsets (only when enabled).
     """
-    starts, powers = _traffic(config)
+    _, windows = _traffic(config)
+    packets = chain.from_iterable(
+        zip(starts.tolist(), powers.tolist()) for starts, powers in windows
+    )
     return [
-        Transmission(i, s, config.packet_duration, p)
-        for i, (s, p) in enumerate(zip(starts.tolist(), powers.tolist()))
+        Transmission(i, s, config.packet_duration, p) for i, (s, p) in enumerate(packets)
     ]
 
 
@@ -257,13 +326,17 @@ def _decode_chains(
     and its SINR reaches ``theta``.  Its interference is the sum of the
     weaker packets of its run, added from the weakest up; subtracting
     decoded packets from the run total instead cancels catastrophically
-    across a wide power spread.
+    across a wide power spread.  A run whose interference plus noise passes
+    float range is decided on its powers and the noise times _SCALE.
     """
     for a, n in runs:
-        interference = [*accumulate(stages[a + n - 1 : a : -1])][::-1]
-        interference.append(0.0)
+        mw, noise = stages[a : a + n], noise_mw
+        interference = [*accumulate(mw[:0:-1])][::-1] + [0.0]
+        if interference[0] + noise == math.inf:
+            mw, noise = [x * _SCALE for x in mw], noise * _SCALE
+            interference = [*accumulate(mw[:0:-1])][::-1] + [0.0]
         for j in range(min(n, degree)):
-            if not stages[a + j] >= theta * (interference[j] + noise_mw):
+            if not mw[j] >= theta * (interference[j] + noise):
                 break
             yield a + j
 
@@ -325,6 +398,25 @@ def _mw(dbm: np.ndarray) -> np.ndarray:
         return np.float_power(10.0, dbm / 10.0)
 
 
+def _chains_pass(chains: np.ndarray, cap: int, theta: float, noise_mw: float) -> np.ndarray:
+    """The SINR test of the first ``cap`` stages of each row of ``chains``
+    (mW, strongest first), as ``_decode_chains`` takes it, _SCALE included;
+    as in Python, sums past float range are inf and 0 * inf is nan, so call
+    it with those warnings off."""
+
+    def test(chains: np.ndarray, noise: float) -> tuple[np.ndarray, np.ndarray]:
+        interference = np.zeros_like(chains)
+        # weaker packets added from the weakest up, as _decode_chains does
+        interference[:, :-1] = np.cumsum(chains[:, :0:-1], axis=1)[:, ::-1]
+        ok = chains[:, :cap] >= theta * (interference[:, :cap] + noise)
+        return ok, interference[:, 0] + noise == math.inf
+
+    ok, over = test(chains, noise_mw)
+    if over.any():
+        ok[over] = test(chains[over] * _SCALE, noise_mw * _SCALE)[0]
+    return ok
+
+
 def _resolve(
     starts: np.ndarray, ends: np.ndarray, powers_dbm: np.ndarray, sic: SicModel
 ) -> np.ndarray:
@@ -352,21 +444,15 @@ def _resolve(
     per_size = np.bincount(sizes)
     present = np.flatnonzero(per_size)
     bounds = np.cumsum(per_size[present]).tolist()
-    # the _decode_chains walk on all clusters of one size at once, a row
-    # each; as in Python, sums past float range are inf and 0 * inf is nan
+    # the _decode_chains walk on all clusters of one size at once, a row each
     with np.errstate(over="ignore", invalid="ignore"):
         for n, lo, hi in zip(present.tolist(), [0, *bounds], bounds):
-            rows = grouped[lo:hi, None] + np.arange(n)
-            mw = powers_mw[rows]
+            firsts_n = grouped[lo:hi, None]
             # strongest first; the stable sort keeps ties in (start, id) order
-            rank = np.argsort(-mw, axis=1, kind="stable")
-            rows = np.take_along_axis(rows, rank, axis=1)
-            chain = np.take_along_axis(mw, rank, axis=1)
-            # weaker packets added from the weakest up, as _decode_chains does
-            interference = np.zeros_like(chain)
-            interference[:, :-1] = np.cumsum(chain[:, :0:-1], axis=1)[:, ::-1]
+            rows = np.argsort(-powers_mw[firsts_n + np.arange(n)], axis=1, kind="stable")
+            rows += firsts_n
             cap = min(n, sic.degree)
-            ok = chain[:, :cap] >= theta * (interference[:, :cap] + noise_mw)
+            ok = _chains_pass(powers_mw[rows], cap, theta, noise_mw)
             flags[rows[:, :cap]] = np.logical_and.accumulate(ok, axis=1)
     if np.isinf(powers_mw).any():
         # decide the clusters that hold an infinite power again, one by one;
@@ -393,38 +479,127 @@ def resolve_sic(transmissions: list[Transmission], sic: SicModel) -> list[bool]:
     return flags.tolist()
 
 
+def _pairwise_pieces(n: int, leaf: int, merges: int = 0) -> Iterator[tuple[int, int]]:
+    """The pieces, in order, of numpy's pairwise sum of ``n`` values split
+    down to at most ``leaf`` values: (size, how many pending sums the piece's
+    sum completes)."""
+    if n <= leaf:
+        yield n, merges
+    else:
+        half = n // 2 - n // 2 % 8
+        yield from _pairwise_pieces(half, leaf)
+        yield from _pairwise_pieces(n - half, leaf, merges + 1)
+
+
+class _StreamSum:
+    """``np.add.reduce`` of ``size`` float64 values fed in parts, to the bit.
+
+    numpy sums a contiguous array pairwise: it splits a piece of more than
+    128 values after ``n // 2 - n // 2 % 8`` of them and adds the two sums.
+    Here each piece of at most ``leaf`` >= 128 values is summed by
+    ``np.add.reduce`` and the sums are added back up the same tree, so only
+    one piece is held at a time.
+    """
+
+    def __init__(self, size: int, leaf: int) -> None:
+        self._pieces = _pairwise_pieces(size, leaf)
+        self._next = next(self._pieces)
+        self._held = np.empty(0)
+        self._sums: list[float] = []
+
+    def add(self, values: np.ndarray) -> None:
+        held = np.concatenate((self._held, values))
+        while self._next is not None and self._next[0] <= held.size:
+            size, merges = self._next
+            self._sums.append(float(np.add.reduce(held[:size])))
+            held = held[size:]
+            for _ in range(merges):
+                right = self._sums.pop()
+                self._sums[-1] += right
+            self._next = next(self._pieces, None)
+        self._held = held
+
+    def total(self) -> float:
+        (total,) = self._sums
+        return total
+
+
 def run_simulation(config: SimConfig) -> SimStats:
     """Generate traffic, resolve reception, and measure throughput.
 
     Packets starting before the warmup are excluded from the counts but
     still interfere.  The confidence half-width is ``batch_half_width`` over
     BATCH_COUNT equal spans of the measured window.
-    """
-    starts, powers_dbm = _traffic(config)
-    span = config.horizon - config.warmup
-    if starts.size == 0:
-        return SimStats(0, 0, 0.0, 0.0, 0.0, degenerate=True)
 
-    ends = starts + config.packet_duration
-    ok = _resolve(starts, ends, powers_dbm, config.sic)
-    # starts are sorted, so the measured packets are a suffix
-    first = int(np.searchsorted(starts, config.warmup))
-    offered = starts.size - first
-    # ends is not needed past here, so it holds each packet's busy time
-    busy = np.clip(ends, config.warmup, config.horizon, out=ends)
-    busy -= np.clip(starts, config.warmup, config.horizon)
-    mean_concurrency = float(busy.sum() / span)
+    The packets are decided window by window.  Ideal mode carries the
+    packets within one duration of the first undecided start; power-aware
+    mode carries the overlap cluster still open.  Counts, batch counts and
+    the busy-time sum add up over the windows to the bits of one pass.
+    """
+    count, windows = _traffic(config)
+    if count == 0:
+        return SimStats(0, 0, 0.0, 0.0, 0.0, degenerate=True)
+    duration, warmup, horizon = config.packet_duration, config.warmup, config.horizon
+    span = horizon - warmup
+    ideal = config.sic.mode is SicMode.IDEAL
+    busy = _StreamSum(count, _WINDOW)
+    offered = succeeded = 0
+    batches = np.zeros(BATCH_COUNT, dtype=np.int64)
+    # the carried packets, the first ``done`` of them decided already, and
+    # the windows drawn since
+    starts, powers, done = np.empty(0), np.empty(0), 0
+    fresh: list[tuple[np.ndarray, np.ndarray]] = []
+    for window in chain(windows, [None]):
+        if window is not None:
+            new_starts = window[0]
+            # starts are sorted, so the measured packets are a suffix
+            offered += new_starts.size - int(np.searchsorted(new_starts, warmup))
+            busy_time = np.clip(new_starts + duration, warmup, horizon)
+            busy_time -= np.clip(new_starts, warmup, horizon)
+            busy.add(busy_time)
+            fresh.append(window)
+            # decide once the new packets outnumber the carried ones, so a
+            # carry longer than a window is not scanned again every window
+            if sum(s.size for s, _ in fresh) < starts.size:
+                continue
+        starts = np.concatenate((starts, *(s for s, _ in fresh)))
+        if not ideal:
+            powers = np.concatenate((powers, *(p for _, p in fresh)))
+        fresh = []
+        ends = starts + duration
+        if window is None:
+            upto = starts.size
+        elif ideal:
+            # no later packet reaches a packet that ends by the last start
+            upto = int(np.searchsorted(ends, starts[-1], side="right"))
+        else:
+            # the clusters before the last one are closed
+            opens = np.flatnonzero(starts[1:] >= ends[:-1])
+            upto = int(opens[-1]) + 1 if opens.size else 0
+        if upto > done:
+            if ideal:
+                ok = _overlap_counts(starts, ends)[done:upto] <= config.sic.degree
+            else:
+                ok = _resolve(starts[:upto], ends[:upto], powers[:upto], config.sic)
+            decided = starts[done:upto]
+            first = int(np.searchsorted(decided, warmup))
+            # each measured success adds its duration to the batch of its start
+            success_times = decided[first:][ok[first:]] - warmup
+            succeeded += success_times.size
+            batches += batch_counts(success_times, span)
+        if window is not None:
+            keep = int(np.searchsorted(ends, starts[upto], side="right")) if ideal else upto
+            starts, done = starts[keep:], upto - keep
+            if not ideal:
+                powers = powers[keep:]
+
+    mean_concurrency = busy.total() / span
     if offered == 0:
         return SimStats(0, 0, 0.0, mean_concurrency, 0.0, degenerate=True)
-
-    # each measured success adds its duration to the batch of its start
-    success_times = starts[first:][ok[first:]] - config.warmup
-    succeeded = success_times.size
-    throughput = succeeded * config.packet_duration / span
     return SimStats(
         offered=offered,
         succeeded=succeeded,
-        normalized_throughput=throughput,
+        normalized_throughput=succeeded * duration / span,
         mean_concurrency=mean_concurrency,
-        confidence_half_width=batch_half_width(config.packet_duration, success_times, span),
+        confidence_half_width=batch_half_width(duration, batches, span),
     )

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,25 @@ class TestSimulate:
         assert err.startswith("error: horizon_s: ")
         assert not out.exists()
 
+    def test_expected_count_past_the_cap_exits_2_before_drawing(self, capsys, tmp_path):
+        cap = cli.simcore._MAX_PACKETS
+        cfg = write_config(tmp_path, "big.json", {"offered_load_g": 1.0, "horizon_s": cap * 1.001})
+        out = tmp_path / "sim.csv"
+        start = time.perf_counter()
+        code, stdout, err = run_cli(capsys, "simulate", cfg, "--out", str(out))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert err.startswith("error: horizon_s: expects ")
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_expected_count_below_the_cap_passes_validation(self):
+        cap = cli.simcore._MAX_PACKETS
+        sic = cli._build(cli.simcore.SicModel, {}, "sic", cli.SIC_FIELDS)
+        raw = {"offered_load_g": 1.0, "horizon_s": cap * 0.999}
+        config = cli._build(cli.simcore.SimConfig, raw, "", cli.SIM_FIELDS, sic=sic, seed=0)
+        assert config.horizon == cap * 0.999
+
     def test_missing_field_diagnostic(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "bad.json", {"offered_load_g": 0.5})
         code, _, err = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "x.csv"))
@@ -556,6 +576,41 @@ class TestCommonBehaviour:
         assert err.startswith("error: out:")
         assert str(tmp_path) in err
         assert stdout == ""
+
+
+# runs the CLI in a fresh interpreter and prints its peak resident set (KiB)
+PEAK_RSS_PROBE = (
+    "import resource, sys\n"
+    "from aloha_noma import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "config, small, large",
+    [
+        ({"offered_load_g": 1.0, "seed": 3}, 1e4, 4e6),
+        (
+            {"offered_load_g": 2.0, "seed": 3, "shadowing_sigma_db": 6.0,
+             "sic": {"degree": 8, "mode": "power_aware"}},
+            5e3,
+            1e6,
+        ),
+    ],
+    ids=["ideal-4e6-packets", "power-aware-2e6-packets"],
+)
+def test_simulate_memory_stays_flat_as_the_horizon_grows(tmp_path, config, small, large):
+    # holding every packet at once would take about 150 MB (ideal) and
+    # 85 MB (power-aware) more at the large horizon
+    def peak_kib(horizon):
+        path = write_config(tmp_path, f"sim-{horizon:g}.json", dict(config, horizon_s=horizon))
+        argv = ["simulate", path, "--out", str(tmp_path / f"sim-{horizon:g}.csv")]
+        code, peak = run_python("-c", PEAK_RSS_PROBE, *argv).stdout.splitlines()[-1].split()
+        assert code == "0"
+        return int(peak)
+
+    assert peak_kib(large) - peak_kib(small) < 24 * 1024
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from aloha_noma import analytic
+from aloha_noma import analytic, simcore, stats
 from aloha_noma.simcore import (
     SicMode,
     SicModel,
@@ -20,6 +20,7 @@ from aloha_noma.simcore import (
     _decode_cluster,
     _mw,
     _overlap_counts,
+    _StreamSum,
     generate_traffic,
     overlap_count,
     resolve_sic,
@@ -84,6 +85,14 @@ class TestConfigValidation:
     def test_rejects_horizon_where_packets_round_to_empty(self):
         with pytest.raises(ValueError, match="^horizon: "):
             sim_config(g=1e-15, horizon=1e17)
+
+    def test_expected_packet_count_is_capped(self):
+        # 2**32 expected packets pass, one more ulp of horizon does not
+        assert sim_config(g=1.0, horizon=2.0**32).horizon == 2.0**32
+        with pytest.raises(ValueError, match="^horizon: expects "):
+            sim_config(g=1.0, horizon=math.nextafter(2.0**32, math.inf))
+        with pytest.raises(ValueError, match="^horizon: expects inf packets"):
+            sim_config(g=1e308, horizon=1e10)
 
 
 class TestGenerateTraffic:
@@ -455,6 +464,14 @@ class TestInfinitePowers:
         ]
         return shifted, replace(sic, noise_floor_dbm=sic.noise_floor_dbm + self.OFFSET)
 
+    def test_weaker_sum_past_float_range(self):
+        # 3080 + 3079.25 dBm sum past float range at the offset; exactly,
+        # 80 dBm clears -3 dB over 80 dBm + 79.25 dBm + noise, and decodes
+        model = SicModel(1, SicMode.POWER_AWARE, capture_threshold_db=-3.0, noise_floor_dbm=-30.0)
+        txs = packets(0.0, 0.0, 0.0, powers=[79.25, 80.0, 80.0])
+        assert resolve_sic(txs, model) == [False, True, False]
+        assert resolve_sic(*self.offset(txs, model)) == [False, True, False]
+
     def test_close_pair_jams_as_without_offset(self):
         model = SicModel(degree=2, mode=SicMode.POWER_AWARE)
         txs = packets(0.0, 0.0, powers=[82.6, 82.5])
@@ -631,3 +648,159 @@ class TestRunSimulation:
             seed=12, warmup=10.0, shadowing_sigma_db=6.0 if power_aware else 0.0,
         )
         assert run_simulation(cfg) == expected
+
+
+def one_shot_traffic(config):
+    """Start times and powers drawn as one array: the gaps ``chunk`` at a
+    time until a chunk ends past the horizon, then every shadowing normal."""
+    rate = config.offered_load_g / config.packet_duration
+    rng = np.random.default_rng(config.seed)
+    expected = rate * config.horizon
+    chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
+    parts, last = [], 0.0
+    while last < config.horizon:
+        cum = np.cumsum(rng.exponential(1.0 / rate, size=chunk)) + last
+        parts.append(cum)
+        last = float(cum[-1])
+    starts = np.concatenate(parts)
+    starts = starts[starts < config.horizon]
+    powers = np.full(starts.size, config.base_power_dbm)
+    if config.shadowing_sigma_db > 0.0:
+        powers = rng.normal(0.0, config.shadowing_sigma_db, size=starts.size)
+        powers += config.base_power_dbm
+    return starts, powers
+
+
+def one_shot_stats(config):
+    """``run_simulation`` on one array of every packet, from
+    ``generate_traffic`` and ``resolve_sic``."""
+    txs = generate_traffic(config)
+    if not txs:
+        return SimStats(0, 0, 0.0, 0.0, 0.0, degenerate=True)
+    starts = np.array([t.start_time for t in txs])
+    ok = np.array(resolve_sic(txs, config.sic))
+    warmup, horizon = config.warmup, config.horizon
+    span = horizon - warmup
+    busy = np.clip(starts + config.packet_duration, warmup, horizon) - np.clip(starts, warmup, horizon)
+    mean_concurrency = float(busy.sum() / span)
+    measured = starts >= warmup
+    if not measured.any():
+        return SimStats(0, 0, 0.0, mean_concurrency, 0.0, degenerate=True)
+    success_times = starts[measured & ok] - warmup
+    counts = stats.batch_counts(success_times, span)
+    return SimStats(
+        offered=int(measured.sum()),
+        succeeded=success_times.size,
+        normalized_throughput=success_times.size * config.packet_duration / span,
+        mean_concurrency=mean_concurrency,
+        confidence_half_width=stats.batch_half_width(config.packet_duration, counts, span),
+    )
+
+
+def streamed(config, window):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simcore, "_WINDOW", window)
+        return run_simulation(config)
+
+
+@st.composite
+def small_runs(draw):
+    """Runs of up to about 4000 packets in either mode, at loads up to
+    those where a power-aware cluster holds every packet."""
+    duration = draw(st.sampled_from([1.0, 0.37]))
+    horizon = draw(st.integers(100, 1000)) * duration
+    return SimConfig(
+        offered_load_g=draw(st.one_of(st.floats(0.05, 4.0), st.floats(1.0, 4.0))),
+        packet_duration=duration,
+        horizon=horizon,
+        sic=SicModel(draw(st.integers(1, 8)), draw(st.sampled_from(list(SicMode)))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        warmup=draw(st.sampled_from([0.0, 0.25, 0.9])) * horizon,
+        base_power_dbm=draw(st.sampled_from([0.0, -10.0])),
+        shadowing_sigma_db=draw(st.sampled_from([0.0, 6.0])),
+    )
+
+
+# windows of 128 to 4096 packets, small ones often, so that most runs span
+# several windows
+WINDOWS = st.one_of(st.integers(128, 400), st.integers(128, 4096))
+
+
+class TestStreaming:
+    @settings(deadline=None)
+    @given(small_runs(), WINDOWS)
+    def test_windows_give_the_one_shot_stats(self, config, window):
+        assert streamed(config, window) == one_shot_stats(config)
+
+    @pytest.mark.parametrize("mode", list(SicMode))
+    def test_clusters_straddle_window_edges(self, mode):
+        config = sim_config(
+            g=1.5, horizon=2000.0, degree=4, seed=7, warmup=20.0,
+            sic_kw={"mode": mode}, shadowing_sigma_db=6.0,
+        )
+        starts = np.array([t.start_time for t in generate_traffic(config)])
+        opens = np.flatnonzero(starts[1:] >= starts[:-1] + 1.0) + 1
+        # at 1.5 packets per duration, many clusters hold a window edge
+        edges = np.arange(128, starts.size, 128)
+        assert np.isin(edges, opens, invert=True).sum() > 10
+        for window in (128, 129, 1000):
+            assert streamed(config, window) == one_shot_stats(config)
+
+    @pytest.mark.parametrize(
+        "g, mode", [(150.0, SicMode.IDEAL), (6.0, SicMode.POWER_AWARE)], ids=["ideal", "power_aware"]
+    )
+    def test_carry_longer_than_a_window(self, g, mode):
+        # 300 packets within two durations in ideal mode; power-aware
+        # clusters of thousands of packets
+        config = sim_config(
+            g=g, horizon=100.0, degree=8, seed=2, warmup=5.0, sic_kw={"mode": mode},
+            shadowing_sigma_db=6.0,
+        )
+        assert streamed(config, 128) == one_shot_stats(config)
+
+    @settings(deadline=None, max_examples=30)
+    @given(small_runs(), WINDOWS)
+    def test_traffic_is_the_one_shot_draw_at_every_window(self, config, window):
+        starts, powers = one_shot_traffic(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simcore, "_WINDOW", window)
+            txs = generate_traffic(config)
+        assert [t.start_time for t in txs] == starts.tolist()
+        assert [t.rx_power_dbm for t in txs] == powers.tolist()
+
+    def test_traffic_past_one_chunk_is_the_one_shot_draw(self, monkeypatch):
+        # chunks of 0.6 times the expected count plus 16 (math.sqrt sizes
+        # them, here and in one_shot_traffic), so the first ends before the
+        # horizon, as it does about once in 1e23 runs otherwise
+        config = sim_config(g=0.5, horizon=1000.0, seed=3, shadowing_sigma_db=6.0)
+        monkeypatch.setattr(math, "sqrt", lambda x: -0.04 * x)
+        starts, powers = one_shot_traffic(config)
+        assert starts.size > int(0.6 * 500.0 + 16.0)
+        for window in (128, 4096):
+            monkeypatch.setattr(simcore, "_WINDOW", window)
+            txs = generate_traffic(config)
+            assert [t.start_time for t in txs] == starts.tolist()
+            assert [t.rx_power_dbm for t in txs] == powers.tolist()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 1_100_000), st.integers(128, 8192), st.integers(0, 2**32 - 1))
+    @example(1_048_583, 128, 1)
+    @example(129, 128, 2)
+    def test_stream_sum_is_numpy_sum(self, n, leaf, seed):
+        # values spread over twelve decades, so the summation order shows
+        rng = np.random.default_rng(seed)
+        values = rng.exponential(size=n) * 10.0 ** rng.uniform(-6.0, 6.0, size=n)
+        total = _StreamSum(n, leaf)
+        for part in np.split(values, np.sort(rng.integers(0, n + 1, size=rng.integers(0, 40)))):
+            total.add(part)
+        assert total.total() == float(values.sum())
+
+    def test_stream_sum_of_every_small_count(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 700):
+            values = rng.exponential(size=n) * 10.0 ** rng.uniform(-6.0, 6.0, size=n)
+            total = _StreamSum(n, 128)
+            for part in np.array_split(values, 3):
+                total.add(part)
+            assert total.total() == float(values.sum()), n
+
