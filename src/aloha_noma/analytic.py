@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincc, xlogy
+
+from ._special import gammaincc, xlogy
 
 __all__ = [
     "BracketingError",

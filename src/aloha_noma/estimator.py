@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import special
+
+from . import _special as special
 
 __all__ = [
     "EstimationOutcome",

@@ -344,7 +344,8 @@ def _decode_chains(
 def _decode_relative(
     stages: list[float], degree: int, theta: float, noise_dbm: float
 ) -> Iterator[int]:
-    """``_decode_chains`` for one cluster that holds an infinite mW power.
+    """``_decode_chains`` for one cluster that holds an infinite mW power or
+    faces an infinite noise floor.
 
     ``stages`` holds the cluster's received powers in dBm, strongest
     first.  Each stage is decided on powers relative to its own packet, the
@@ -372,12 +373,13 @@ def _decode_cluster(
 
     ``dbm`` holds the received powers of packets that all overlap one
     another; the chain runs strongest first, ties broken by ``ids``, and
-    stops at ``degree`` stages.  A cluster holding a power past the mW
-    overflow is ordered and decided on dBm by ``_decode_relative``.
+    stops at ``degree`` stages.  A cluster holding a power or facing a noise
+    floor past the mW overflow is ordered and decided on dBm by
+    ``_decode_relative``.
     """
     mw = _dbm_to_mw(dbm)
     noise_mw, theta = _dbm_to_mw([sic.noise_floor_dbm, sic.capture_threshold_db])
-    overflowed = math.inf in mw
+    overflowed = math.inf in mw or noise_mw == math.inf
     power = dbm if overflowed else mw
     order = sorted(range(len(power)), key=lambda j: (-power[j], ids[j]))
     stages = [power[j] for j in order]
@@ -454,10 +456,12 @@ def _resolve(
             cap = min(n, sic.degree)
             ok = _chains_pass(powers_mw[rows], cap, theta, noise_mw)
             flags[rows[:, :cap]] = np.logical_and.accumulate(ok, axis=1)
-    if np.isinf(powers_mw).any():
-        # decide the clusters that hold an infinite power again, one by one;
-        # positions break power ties
-        hot = np.logical_or.reduceat(np.isinf(powers_mw), firsts)
+    infinite = np.isinf(powers_mw)
+    if noise_mw == math.inf or infinite.any():
+        # decide the clusters that hold an infinite power, or every cluster
+        # under an infinite noise floor, again one by one; positions break
+        # power ties
+        hot = np.logical_or.reduceat(infinite, firsts) | (noise_mw == math.inf)
         dbm = powers_dbm.tolist()
         for a, n in zip(firsts[hot].tolist(), sizes[hot].tolist()):
             cluster = flags[a : a + n]

@@ -6,7 +6,8 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import special
+
+from . import _special as special
 
 __all__ = ["BATCH_COUNT", "batch_counts", "batch_half_width", "half_width"]
 

@@ -619,6 +619,66 @@ def test_import_leaves_scipy_stats_unloaded():
     assert run_python("-c", code).stdout.strip() == "False"
 
 
+# These run in fresh interpreters: the test modules have imported
+# scipy.special already, so in-process aloha_noma._special took its fallback.
+SPECIAL_CHECK = (
+    "import scipy.special\n"
+    "from aloha_noma import _special, estimator, stats\n"
+    "names = ['erfc', 'gammaincc', 'stdtrit', 'xlogy']\n"
+    "print(all(getattr(_special, n) is getattr(scipy.special, n) for n in names),\n"
+    "      estimator.special is stats.special is _special,\n"
+    "      float(scipy.special.gamma(5.0)))\n"
+)
+
+# fails the import of scipy.special._ufuncs, only the first time if ONCE
+BLOCK_UFUNCS = (
+    "import sys\n"
+    "class Block:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'scipy.special._ufuncs':\n"
+    "            if ONCE:\n"
+    "                sys.meta_path.remove(self)\n"
+    "            raise ImportError(name)\n"
+    "sys.meta_path.insert(0, Block())\n"
+)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special's array-API layer takes about half of the start-up
+    code = (
+        "import sys, aloha_noma.cli\n"
+        "heavy = ['scipy._lib.array_api_compat', 'scipy.special', 'scipy.stats']\n"
+        "print([m for m in heavy if m in sys.modules], 'special' in vars(sys.modules['scipy']))\n"
+    )
+    assert run_python("-c", code).stdout.strip() == "[] False"
+
+
+@pytest.mark.parametrize(
+    "prelude",
+    [
+        "import aloha_noma.cli\n",
+        # the fallback: no bare package is built once scipy.special is loaded
+        "import importlib.util, scipy.special\nimportlib.util.find_spec = None\n",
+        # the fallback on an ImportError from the private layout
+        "ONCE = True\n" + BLOCK_UFUNCS + "import aloha_noma.cli\n"
+        "assert not any(isinstance(f, Block) for f in sys.meta_path)\n",
+    ],
+    ids=["scipy-special-later", "scipy-special-first", "private-layout-fails"],
+)
+def test_special_names_are_scipy_specials(prelude):
+    assert run_python("-c", prelude + SPECIAL_CHECK).stdout.split() == ["True", "True", "24.0"]
+
+
+def test_failed_ufuncs_import_leaves_no_bare_scipy_special():
+    code = (
+        "ONCE = False\n" + BLOCK_UFUNCS + "try:\n"
+        "    import aloha_noma._special\n"
+        "except ImportError:\n"
+        "    print('scipy.special' in sys.modules)\n"
+    )
+    assert run_python("-c", code).stdout.strip() == "False"
+
+
 def test_estimator_bench_where_erfc_is_not_monotone(capsys, tmp_path):
     # at alpha / M = 0.19227... scipy's erfc flips the rule back and forth
     # over neighbouring statistics; the run must still decide every test

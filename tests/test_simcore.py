@@ -451,6 +451,51 @@ class TestPowerOverflow:
         txs = packets(0.0, 0.5, powers=[3082.5, 0.0])
         assert resolve_sic(txs, self.MODEL) == [True, True]
 
+    def test_noise_floor_past_overflow_decodes(self):
+        # relative to the packet, noise 10**0.8 times theta 0.1 is 0.63 <= 1;
+        # the same case 3000 dB lower decodes too
+        model = SicModel(1, SicMode.POWER_AWARE, -10.0, 3090.0)
+        assert resolve_sic([Transmission(0, 0.0, 1.0, 3082.0)], model) == [True]
+        assert _decode_cluster([3082.0], [0], 1, model) == [0]
+        assert _decode_cluster([3070.0], [0], 1, model) == []
+        lower = replace(model, noise_floor_dbm=90.0)
+        assert resolve_sic([Transmission(0, 0.0, 1.0, 82.0)], lower) == [True]
+
+    def test_noise_floor_past_overflow_decodes_a_chain(self):
+        # every packet is below the mW overflow and the floor past it; at
+        # -10 dB, 3082.4 dBm clears 3078 + 3072 dBm plus the noise, 3078 dBm
+        # clears 3072 dBm plus the noise, 3072 dBm fails against the noise
+        # alone, and a lone 3080 dBm packet 10 s later clears the noise
+        model = SicModel(3, SicMode.POWER_AWARE, -10.0, 3085.0)
+        txs = packets(0.0, 0.25, 0.5, 10.0, powers=[3072.0, 3082.4, 3078.0, 3080.0])
+        assert resolve_sic(txs, model) == [False, True, True, True]
+        assert sorted(_decode_cluster([3072.0, 3082.4, 3078.0], [0, 1, 2], 3, model)) == [1, 2]
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 3.0)),
+                # quarter decibels around the floor, so the offset adds exactly
+                st.integers(280, 360).map(lambda q: q / 4.0),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(1, 8),
+        st.sampled_from([-10.0, -3.0, 0.0]),
+    )
+    @example([(0.0, 82.0)], 1, -10.0)
+    def test_noise_floor_past_overflow_decides_as_without_offset(self, rows, degree, threshold_db):
+        # 3000 dB lift the 85 dBm floor past the mW overflow, and the
+        # packets above 82.5 dBm with it
+        txs = packets(*[s for s, _ in rows], powers=[p for _, p in rows])
+        model = SicModel(degree, SicMode.POWER_AWARE, threshold_db, noise_floor_dbm=85.0)
+        expected, margin = exact_power_chain(txs, model)
+        assume(margin > 1e-9)
+        shifted = [replace(t, rx_power_dbm=t.rx_power_dbm + 3000.0) for t in txs]
+        assert resolve_sic(shifted, replace(model, noise_floor_dbm=3085.0)) == expected
+
 
 
 class TestInfinitePowers:
