@@ -386,10 +386,13 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
 
     records = []
     for seed in seeds:
-        devices = [
-            protocol.DeviceState(device_id=i, tx_power_dbm=power0)
-            for i in range(device_count)
-        ]
+        try:
+            devices = [
+                protocol.DeviceState(device_id=i, tx_power_dbm=power0)
+                for i in range(device_count)
+            ]
+        except MemoryError:
+            raise ConfigError(f"devices: cannot allocate {device_count} devices") from None
         try:
             stats = protocol.run_session(
                 frames, activation, devices, schedule, hyp, sic, policy, seed

@@ -9,7 +9,6 @@ of rejections as its estimate of the active count.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import struct
@@ -131,10 +130,18 @@ def estimate_active_count(
         raise ValueError(
             f"expected {config.m} statistics, got {len(statistics)}"
         )
+    return _outcome(*_decisions(statistics, config))
+
+
+def _decisions(statistics, config: HypothesisConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The p-values of M statistics and the Bonferroni rule's flags on them."""
     p_values = _upper_tail(np.divide(statistics, config.noise_sigma * math.sqrt(2.0)))
-    flags = _p_value_rejects(p_values, config).tolist()
-    rejected = frozenset(itertools.compress(range(config.m), flags))
-    return EstimationOutcome(tuple(p_values.tolist()), rejected, len(rejected))
+    return p_values, _p_value_rejects(p_values, config)
+
+
+def _outcome(p_values: np.ndarray, rejected: np.ndarray) -> EstimationOutcome:
+    flagged = frozenset(np.flatnonzero(rejected).tolist())
+    return EstimationOutcome(tuple(p_values.tolist()), flagged, len(flagged))
 
 
 def _active_mask(true_active: Iterable[int], m: int) -> np.ndarray:
@@ -147,15 +154,32 @@ def _active_mask(true_active: Iterable[int], m: int) -> np.ndarray:
     return mask
 
 
+def _estimation_round(
+    active: Sequence[int], config: HypothesisConfig, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round's M p-values and M rejection flags, for the devices at the
+    positions ``active`` (each in [0, M); not checked).
+
+    The statistics are ``means + sigma * standard_normal(M)`` on a generator
+    seeded with ``seed``, with each active position's signal written into
+    zeros, so the floats are those of ``np.where(mask, signal_means(), 0.0)``.
+    Python work is sized by ``active``, not by M.
+    """
+    means = np.zeros(config.m)
+    if config.per_device_signal is None:
+        means[active] = config.mean_signal
+    else:
+        means[active] = [config.per_device_signal[i] for i in active]
+    rng = np.random.default_rng(seed)
+    return _decisions(means + config.noise_sigma * rng.standard_normal(config.m), config)
+
+
 def simulate_estimation_round(
     true_active: Iterable[int], config: HypothesisConfig, seed: int
 ) -> EstimationOutcome:
     """Draw one round of statistics and run the test; deterministic per seed."""
     mask = _active_mask(true_active, config.m)
-    means = np.where(mask, config.signal_means(), 0.0)
-    rng = np.random.default_rng(seed)
-    statistics = means + config.noise_sigma * rng.standard_normal(config.m)
-    return estimate_active_count(statistics, config)
+    return _outcome(*_estimation_round(np.flatnonzero(mask), config, seed))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .estimator import HypothesisConfig, simulate_estimation_round
+from .estimator import HypothesisConfig, _estimation_round
 from .simcore import SicMode, SicModel, _decode_cluster
 from .stats import batch_half_width
 
@@ -172,12 +172,14 @@ def run_frame(
     estimation_seed = int(rng.integers(0, 2**63 - 1))
 
     active = [i for i, d in enumerate(devices) if d.has_data]
-    outcome = simulate_estimation_round(active, hyp_cfg, estimation_seed)
-    estimated, rejected = outcome.estimated_count, outcome.rejected
+    _, rejected = _estimation_round(active, hyp_cfg, estimation_seed)
+    # a false rejection past the last device counts in the estimate only
+    estimated = int(np.count_nonzero(rejected))
+    rejects = rejected[: len(devices)].tolist()
 
     # only devices that transmitted a dummy carry a decodable ID, so a
     # rejected hypothesis maps to a detected device only when it is active
-    detected = [i for i in active if i in rejected]
+    detected = [i for i in active if rejects[i]]
     degree_used = min(estimated, sic.degree)
     # every detected device draws from the same -N..N range, so one vector
     # draw gives the values of power_backoff called in detected order
@@ -186,7 +188,7 @@ def run_frame(
         for i, n in zip(detected, steps.tolist()):
             devices[i].tx_power_dbm += n * policy.delta_db
     for i in active:
-        if i not in rejected:
+        if not rejects[i]:
             devices[i].tx_power_dbm += policy.slight_increase_db
 
     # the payload burst is one cluster: every packet spans the same interval

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aloha_noma import analytic, cli
+from aloha_noma import analytic, cli, protocol
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -466,6 +466,19 @@ class TestFrameSession:
         code, _, err = run_cli(capsys, "frame-session", cfg, "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "devices" in err
+
+    def test_unallocatable_device_list_exits_2(self, capsys, tmp_path, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(protocol, "DeviceState", no_memory)
+        cfg = write_config(tmp_path, "sess.json", SESSION_CONFIG)
+        out = tmp_path / "sess.csv"
+        code, stdout, err = run_cli(capsys, "frame-session", cfg, "--out", str(out))
+        assert code == 2
+        assert err == "error: devices: cannot allocate 5 devices\n"
+        assert stdout == ""
+        assert not out.exists()
 
 
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from aloha_noma import estimator
 from aloha_noma.estimator import (
     HypothesisConfig,
     MonteCarloEstimation,
+    _estimation_round,
     _first_draw,
     _rejections,
     _statistic_window,
@@ -164,6 +165,43 @@ class TestSimulateEstimationRound:
             # the statistic as simulate_estimation_round forms it
             statistics = mean + sigma * np.full(m, draw)
             assert estimate_active_count(statistics, cfg).estimated_count == (m if rejects else 0)
+
+
+@st.composite
+def estimation_rounds(draw):
+    """A config with M in 1..200, an active subset in random order and a seed."""
+    m = draw(st.integers(min_value=1, max_value=200))
+    signal = st.floats(min_value=1e-3, max_value=1e3)
+    cfg = HypothesisConfig(
+        m,
+        draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
+        draw(signal),
+        draw(st.floats(min_value=1e-3, max_value=1e3)),
+        draw(st.none() | st.tuples(*[signal] * m)),
+    )
+    active = draw(st.lists(st.integers(min_value=0, max_value=m - 1), unique=True))
+    return cfg, active, draw(st.integers(min_value=0, max_value=2**63 - 1))
+
+
+class TestEstimationKernel:
+    @settings(deadline=None)
+    @given(estimation_rounds())
+    def test_decides_as_the_round_and_the_count(self, round_):
+        cfg, active, seed = round_
+        p_values, rejected = _estimation_round(active, cfg, seed)
+        assert rejected.shape == (cfg.m,) and rejected.dtype == bool
+        flagged = frozenset(np.flatnonzero(rejected).tolist())
+        outcome = simulate_estimation_round(active, cfg, seed)
+        assert flagged == outcome.rejected
+        assert tuple(p_values.tolist()) == outcome.p_values
+        # the statistics as the round formed them from an M-long mask
+        mask = np.zeros(cfg.m, dtype=bool)
+        mask[active] = True
+        means = np.where(mask, cfg.signal_means(), 0.0)
+        statistics = means + cfg.noise_sigma * np.random.default_rng(seed).standard_normal(cfg.m)
+        counted = estimate_active_count(statistics, cfg)
+        assert flagged == counted.rejected
+        assert tuple(p_values.tolist()) == counted.p_values
 
 
 class TestMonteCarloEstimation:

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from aloha_noma import protocol
-from aloha_noma.estimator import HypothesisConfig
+from aloha_noma.estimator import HypothesisConfig, simulate_estimation_round
 from aloha_noma.protocol import (
     PHASES,
     BackoffPolicy,
@@ -33,6 +33,12 @@ def devices(n, active=None, power=0.0):
 
 def strong_config(m=10):
     return HypothesisConfig(m=m, alpha=0.05, mean_signal=50.0, noise_sigma=1.0)
+
+
+PER_DEVICE_M30 = HypothesisConfig(
+    m=30, alpha=0.2, mean_signal=1.0, noise_sigma=1.0,
+    per_device_signal=tuple(3.0 + 0.5 * i for i in range(30)),
+)
 
 
 class TestFrameSchedule:
@@ -216,6 +222,20 @@ class TestRunFrame:
         # six simultaneous packets cannot pass a degree-2 power-blind chain
         assert result.payload_successes == 0
 
+    def test_false_rejection_past_the_last_device_counts_only_in_the_estimate(self):
+        # 3 devices among M = 10 candidates; at alpha = 0.9 this frame's round
+        # also rejects the empty positions 4 and 8
+        hyp, seed = HypothesisConfig(m=10, alpha=0.9, mean_signal=50.0, noise_sigma=1.0), 3
+        result = run_frame(
+            devices(3), FrameSchedule(), hyp, SicModel(degree=10), BackoffPolicy(), seed=seed
+        )
+        estimation_seed = int(np.random.default_rng(seed).integers(0, 2**63 - 1))
+        outcome = simulate_estimation_round(range(3), hyp, estimation_seed)
+        assert outcome.rejected == frozenset({0, 1, 2, 4, 8})
+        assert result.estimated_count == 5
+        assert result.detected_device_ids == frozenset({0, 1, 2})
+        assert result.acked_device_ids == frozenset({0, 1, 2})
+
     def test_rejects_empty_and_oversized_device_lists(self):
         with pytest.raises(ValueError):
             run_frame([], FrameSchedule(), strong_config(), SicModel(degree=1),
@@ -334,8 +354,24 @@ class TestRunSession:
                              0.31235426663430954, 0.2998600959689372,
                              0.015268517125312495),
             ),
+            # 12 of M = 30 candidates: positions 12..29 hold no device, so
+            # their false rejections count in the estimate only
+            (
+                0.2, 12, PER_DEVICE_M30, SicModel(degree=6), 31,
+                SessionStats(300, 3.82, 3.8033333333333332, 0.33,
+                             1.9866666666666666, 1.9866666666666666, 1.9071999999999998,
+                             0.42342407265413085, 0.4064871097479657,
+                             0.07740896759013648),
+            ),
+            (
+                0.2, 12, PER_DEVICE_M30, SicModel(degree=6, mode=SicMode.POWER_AWARE), 31,
+                SessionStats(300, 6.293333333333333, 6.433333333333334, 0.3466666666666667,
+                             1.3466666666666667, 1.3466666666666667, 1.2928,
+                             0.14585450060942678, 0.14002032058504973,
+                             0.05779828605282048),
+            ),
         ],
-        ids=["ideal", "power_aware"],
+        ids=["ideal", "power_aware", "ideal_12_of_30", "power_aware_12_of_30"],
     )
     def test_pinned_stats(self, activation, n, hyp_cfg, sic, seed, expected):
         stats = run_session(
