@@ -85,6 +85,15 @@ BENCH_CELL_FIELDS = (
     ("alphas", "alphas", float, _REQUIRED),
     ("snrs", "snrs", float, _REQUIRED),
 )
+# the top-level keys each command reads; any other key is an error
+SIMULATE_KEYS = ("seed", "sic", *(key for key, *_ in SIM_FIELDS))
+FRAME_SESSION_KEYS = (
+    "frames", "devices", "activation_probability", "initial_power_dbm", "seed",
+    "schedule", "hypothesis", "backoff", "sic",
+)
+ESTIMATOR_BENCH_KEYS = (
+    "m_values", "alphas", "snrs", "trials", "noise_sigma", "active_fraction", "seed",
+)
 
 
 def _cell(value: Any) -> str:
@@ -150,7 +159,7 @@ def _emit_summary(record: dict[str, Any]) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _load_config(path: str) -> dict[str, Any]:
+def _load_config(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -161,7 +170,16 @@ def _load_config(path: str) -> dict[str, Any]:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    _reject_unknown(cfg, keys)
     return cfg
+
+
+def _reject_unknown(raw: dict[str, Any], keys: Sequence[str], prefix: str = "") -> None:
+    """Refuse a key that is not in ``keys``, so that a misspelled key is
+    not silently replaced by its default."""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{prefix}{key}: unknown field")
 
 
 def _get(
@@ -199,11 +217,14 @@ def _build(
     """``ctor`` called with the fields read from ``cfg[section]`` (``cfg``
     itself for section "") plus ``fixed``; its ValueError becomes a
     ConfigError under the section prefix, naming the JSON key where the
-    message starts with a field's argument."""
+    message starts with a field's argument.  A section may hold only its
+    fields' keys; the top level is checked by ``_load_config``."""
     raw = cfg.get(section, {}) if section else cfg
     if not isinstance(raw, dict):
         raise ConfigError(f"{section}: expected an object")
     prefix = f"{section}." if section else ""
+    if section:
+        _reject_unknown(raw, [key for key, *_ in fields], prefix)
     kwargs = {arg: _get(raw, key, kind, default, prefix) for key, arg, kind, default in fields}
     try:
         return ctor(**kwargs, **fixed)
@@ -302,7 +323,7 @@ def cmd_analytic_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, SIMULATE_KEYS)
     seeds = _seeds(args, cfg)
     sic = _build(simcore.SicModel, cfg, "sic", SIC_FIELDS)
     configs = [_build(simcore.SimConfig, cfg, "", SIM_FIELDS, sic=sic, seed=s) for s in seeds]
@@ -354,7 +375,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_frame_session(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, FRAME_SESSION_KEYS)
     frames = _get(cfg, "frames", int)
     if frames < 1:
         raise ConfigError(f"frames: must be >= 1, got {frames}")
@@ -453,7 +474,7 @@ def _usable_cpus() -> int:
 
 
 def cmd_estimator_bench(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, ESTIMATOR_BENCH_KEYS)
     _single_replication(args, "estimator-bench")
     m_values, alphas, snrs = (_get(cfg, key, list) for key in ("m_values", "alphas", "snrs"))
     trials = _get(cfg, "trials", int, 20000)

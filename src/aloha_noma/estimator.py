@@ -9,6 +9,7 @@ of rejections as its estimate of the active count.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -253,9 +254,14 @@ def _statistic_window(config: HypothesisConfig) -> tuple[float, float]:
     it must lie within ``_WINDOW_REACH`` floats of it.
     """
     turn = _first_true(lambda x: _p_value_rejects(_upper_tail(x), config))
-    keys = np.arange(turn - _WINDOW_CHECK, turn + _WINDOW_CHECK + 1)
-    magnitudes = np.abs(keys).view(np.float64)
-    flags = _p_value_rejects(_upper_tail(np.where(keys < 0, -magnitudes, magnitudes)), config)
+    start = turn - _WINDOW_CHECK
+    # the floats of keys start.. in one array that is reused in place: a
+    # float's bits are its key's magnitude, negated for a negative key
+    keys = np.arange(start, turn + _WINDOW_CHECK + 1)
+    floats = np.abs(keys, out=keys).view(np.float64)
+    negative = floats[: max(0, -start)]
+    np.negative(negative, out=negative)
+    flags = _p_value_rejects(_upper_tail(floats), config)
     first_hit = int(np.argmax(flags))
     last_miss = flags.size - 1 - int(np.argmax(~flags[::-1]))
     if first_hit < _WINDOW_CHECK - _WINDOW_REACH or last_miss >= _WINDOW_CHECK + _WINDOW_REACH:
@@ -263,7 +269,7 @@ def _statistic_window(config: HypothesisConfig) -> tuple[float, float]:
             "p-value rule flips too far from its threshold for "
             f"alpha={config.alpha!r}, M={config.m}, noise_sigma={config.noise_sigma!r}"
         )
-    return _key_float(int(keys[first_hit])), _key_float(int(keys[last_miss]) + 1)
+    return _key_float(start + first_hit), _key_float(start + last_miss + 1)
 
 
 def _first_draw(x: float, mean: float, sigma: float) -> float:
@@ -276,16 +282,19 @@ def _first_draw(x: float, mean: float, sigma: float) -> float:
 _BLOCK_DRAWS = 2**15
 
 
-def _draw_window(means: np.ndarray, config: HypothesisConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column draws ``(lower, upper)``: a draw below lower never
-    rejects and one at or above upper always does.
-
-    The statistic window maps to one window of draws per distinct mean.
+def _mean_windows(means: Sequence[float], config: HypothesisConfig) -> np.ndarray:
+    """Draws ``(lower, upper)`` for columns with each of the given means, one
+    row per mean: a draw below lower never rejects and one at or above upper
+    always does.  The statistic window maps to one window of draws per mean.
     """
     window = _statistic_window(config)
+    return np.array([[_first_draw(x, mu, config.noise_sigma) for x in window] for mu in means])
+
+
+def _draw_window(means: np.ndarray, config: HypothesisConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column draws ``(lower, upper)``, bisected once per distinct mean."""
     distinct, column = np.unique(means, return_inverse=True)
-    bounds = [[_first_draw(x, mu, config.noise_sigma) for x in window] for mu in distinct.tolist()]
-    lower, upper = np.array(bounds)[column].T
+    lower, upper = _mean_windows(distinct.tolist(), config)[column].T
     return lower, upper
 
 
@@ -305,6 +314,42 @@ def _rejections(draws: np.ndarray, means: np.ndarray, config: HypothesisConfig) 
     with the given means, as ``_p_value_rejects(_upper_tail(_scaled(...)))``
     decides them draw by draw."""
     return _decide(draws, means, *_draw_window(means, config), config)
+
+
+@functools.lru_cache(maxsize=64)
+def _frame_window(config: HypothesisConfig) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """The draw windows ``(lower, upper)`` of a silent and of an active
+    column (means 0 and ``mean_signal``) and whether both are empty; None
+    where the statistic window cannot be bounded.  Computed once per config.
+    """
+    try:
+        lower, upper = _mean_windows((0.0, config.mean_signal), config).T
+    except RuntimeError:
+        return None
+    return lower, upper, bool((lower == upper).all())
+
+
+def _frame_rejections(active: Sequence[int], config: HypothesisConfig, seed: int) -> np.ndarray:
+    """The M rejection flags of ``_estimation_round(active, config, seed)``
+    from the same draws, decided against the config's cached draw windows:
+    outside a non-empty window no statistic or p-value is computed.
+    Per-device signals (one window per distinct mean) and configs whose
+    statistic window cannot be bounded take ``_estimation_round`` itself."""
+    # checked first, so that no M-long signal tuple is hashed per frame
+    window = None if config.per_device_signal is not None else _frame_window(config)
+    if window is None:
+        return _estimation_round(active, config, seed)[1]
+    lower, upper, empty = window
+    draws = np.random.default_rng(seed).standard_normal(config.m)
+    active = np.asarray(active, dtype=np.intp)  # converted once, indexed twice
+    if empty:
+        rejected = draws >= upper[0]
+        rejected[active] = draws[active] >= upper[1]
+        return rejected
+    column = np.zeros(config.m, dtype=np.intp)
+    column[active] = 1
+    means = np.array([0.0, config.mean_signal])[column]
+    return _decide(draws[np.newaxis], means, lower[column], upper[column], config)[0]
 
 
 def monte_carlo_estimation(

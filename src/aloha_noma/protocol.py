@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .estimator import HypothesisConfig, _estimation_round
+from .estimator import HypothesisConfig, _frame_rejections
 from .simcore import SicMode, SicModel, _decode_cluster
 from .stats import batch_half_width
 
@@ -172,7 +172,7 @@ def run_frame(
     estimation_seed = int(rng.integers(0, 2**63 - 1))
 
     active = [i for i, d in enumerate(devices) if d.has_data]
-    _, rejected = _estimation_round(active, hyp_cfg, estimation_seed)
+    rejected = _frame_rejections(active, hyp_cfg, estimation_seed)
     # a false rejection past the last device counts in the estimate only
     estimated = int(np.count_nonzero(rejected))
     rejects = rejected[: len(devices)].tolist()

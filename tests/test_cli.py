@@ -866,6 +866,41 @@ def test_every_config_value_runs_or_exits_2(capsys, tmp_path, command, path, val
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        pytest.param(command, section, id=f"{command}-{section or 'top'}")
+        for command, base in ODD_VALUE_BASES.items()
+        for section in ["", *(key for key, value in base.items() if isinstance(value, dict))]
+    ],
+)
+def test_unknown_config_key_exits_2(capsys, tmp_path, command, section):
+    config = json.loads(json.dumps(ODD_VALUE_BASES[command]))
+    (config[section] if section else config)["unread"] = 1
+    cfg = write_config(tmp_path, "unknown.json", config)
+    out = tmp_path / "unknown.csv"
+    code, stdout, err = run_cli(capsys, command, cfg, "--out", str(out))
+    prefix = f"{section}." if section else ""
+    assert (code, stdout, err) == (2, "", f"error: {prefix}unread: unknown field\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ({"framez": 3}, "framez"),
+        ({"hypothesis": {"m": 4, "alpah": 0.9}}, "hypothesis.alpah"),
+        # HypothesisConfig takes per-device signals; the CLI never read them
+        ({"hypothesis": {"per_device_signal": [1.0, 2.0, 3.0, 4.0]}}, "hypothesis.per_device_signal"),
+    ],
+    ids=["top-level-typo", "section-typo", "per-device-signal"],
+)
+def test_misspelled_frame_session_key_is_not_dropped(capsys, tmp_path, extra, field):
+    cfg = write_config(tmp_path, "typo.json", dict(ODD_VALUE_BASES["frame-session"], **extra))
+    code, stdout, err = run_cli(capsys, "frame-session", cfg, "--out", str(tmp_path / "t.csv"))
+    assert (code, stdout, err) == (2, "", f"error: {field}: unknown field\n")
+
+
 BIG_INT = "1" + "0" * 400
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from aloha_noma import protocol
+from aloha_noma import estimator, protocol
 from aloha_noma.estimator import HypothesisConfig, simulate_estimation_round
 from aloha_noma.protocol import (
     PHASES,
@@ -370,8 +370,20 @@ class TestRunSession:
                              0.14585450060942678, 0.14002032058504973,
                              0.05779828605282048),
             ),
+            # at alpha / M = 0.094 scipy's erfc is not monotone in its last bit
+            # where the rule turns, so both draw windows are non-empty
+            (
+                0.3, 5,
+                HypothesisConfig(m=5, alpha=0.47, mean_signal=2.0, noise_sigma=1.0),
+                SicModel(degree=4, mode=SicMode.POWER_AWARE), 47,
+                SessionStats(300, 1.95, 2.2066666666666666, 0.5766666666666667,
+                             1.0633333333333332, 1.0633333333333332, 1.0208,
+                             0.12209569264947391, 0.11721186494349499,
+                             0.08241021140657845),
+            ),
         ],
-        ids=["ideal", "power_aware", "ideal_12_of_30", "power_aware_12_of_30"],
+        ids=["ideal", "power_aware", "ideal_12_of_30", "power_aware_12_of_30",
+             "power_aware_windowed"],
     )
     def test_pinned_stats(self, activation, n, hyp_cfg, sic, seed, expected):
         stats = run_session(
@@ -437,6 +449,34 @@ class TestRunSession:
         monkeypatch.setattr(protocol, "run_frame", counting)
         run_session(7, 0.5, devices(5, active=[]), seed=4, **self.run_args())
         assert len(calls) == 7
+
+    @pytest.mark.parametrize(
+        "hyp_cfg, expected",
+        [
+            (HypothesisConfig(m=7, alpha=0.05, mean_signal=6.5, noise_sigma=1.0), 1),
+            (HypothesisConfig(m=5, alpha=0.47, mean_signal=2.5, noise_sigma=1.0), 1),
+            # one window per distinct signal would take seconds, so a frame
+            # with per-device signals decides on p-values and bounds nothing
+            (PER_DEVICE_M30, 0),
+        ],
+        ids=["empty_window", "windowed", "per_device_signal"],
+    )
+    def test_draw_windows_are_bounded_once_per_config(self, monkeypatch, hyp_cfg, expected):
+        calls = []
+
+        def counting(config):
+            calls.append(config)
+            return bounded(config)
+
+        bounded = estimator._statistic_window
+        monkeypatch.setattr(estimator, "_statistic_window", counting)
+        estimator._frame_window.cache_clear()
+        try:
+            args = dict(self.run_args(), hyp_cfg=hyp_cfg)
+            run_session(50, 0.5, devices(5, active=[]), seed=6, **args)
+        finally:
+            estimator._frame_window.cache_clear()
+        assert calls == [hyp_cfg] * expected
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
