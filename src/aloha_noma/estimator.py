@@ -317,39 +317,37 @@ def _rejections(draws: np.ndarray, means: np.ndarray, config: HypothesisConfig) 
 
 
 @functools.lru_cache(maxsize=64)
-def _frame_window(config: HypothesisConfig) -> tuple[np.ndarray, np.ndarray, bool] | None:
-    """The draw windows ``(lower, upper)`` of a silent and of an active
-    column (means 0 and ``mean_signal``) and whether both are empty; None
-    where the statistic window cannot be bounded.  Computed once per config.
+def _frame_window(config: HypothesisConfig) -> tuple[float, float] | None:
+    """The draws ``(silent, active)`` at which a silent and an active column
+    (means 0 and ``mean_signal``) start to reject, where both draw windows
+    are empty; None where a window is not empty or the statistic window
+    cannot be bounded.  Computed once per config.
     """
     try:
         lower, upper = _mean_windows((0.0, config.mean_signal), config).T
     except RuntimeError:
         return None
-    return lower, upper, bool((lower == upper).all())
+    if (lower < upper).any():
+        return None
+    return float(upper[0]), float(upper[1])
 
 
 def _frame_rejections(active: Sequence[int], config: HypothesisConfig, seed: int) -> np.ndarray:
     """The M rejection flags of ``_estimation_round(active, config, seed)``
-    from the same draws, decided against the config's cached draw windows:
-    outside a non-empty window no statistic or p-value is computed.
-    Per-device signals (one window per distinct mean) and configs whose
-    statistic window cannot be bounded take ``_estimation_round`` itself."""
+    from the same draws, each compared with its column's cached bound: no
+    statistic or p-value is computed.  Per-device signals (one window per
+    distinct mean) and configs without empty draw windows take
+    ``_estimation_round`` itself."""
     # checked first, so that no M-long signal tuple is hashed per frame
-    window = None if config.per_device_signal is not None else _frame_window(config)
-    if window is None:
+    bounds = None if config.per_device_signal is not None else _frame_window(config)
+    if bounds is None:
         return _estimation_round(active, config, seed)[1]
-    lower, upper, empty = window
+    silent, signal = bounds
     draws = np.random.default_rng(seed).standard_normal(config.m)
     active = np.asarray(active, dtype=np.intp)  # converted once, indexed twice
-    if empty:
-        rejected = draws >= upper[0]
-        rejected[active] = draws[active] >= upper[1]
-        return rejected
-    column = np.zeros(config.m, dtype=np.intp)
-    column[active] = 1
-    means = np.array([0.0, config.mean_signal])[column]
-    return _decide(draws[np.newaxis], means, lower[column], upper[column], config)[0]
+    rejected = draws >= silent
+    rejected[active] = draws[active] >= signal
+    return rejected
 
 
 def monte_carlo_estimation(
