@@ -12,6 +12,7 @@ their power up for the next frame.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -63,11 +64,11 @@ class FrameSchedule:
                 stacklevel=2,
             )
 
-    @property
+    @functools.cached_property
     def overhead(self) -> float:
         return self.beacon + self.estimation + self.broadcast + self.ack
 
-    @property
+    @functools.cached_property
     def total(self) -> float:
         return self.overhead + self.payload
 
@@ -141,6 +142,32 @@ def effective_throughput(raw: float, schedule: FrameSchedule) -> float:
     return raw * schedule.payload / schedule.total
 
 
+class _Devices:
+    """A session's device states as arrays, in list order; the ids stay the
+    given objects.  Made only from a list that passes the session's checks.
+    """
+
+    __slots__ = ("ids", "power", "has_data", "last_ack")
+
+    def __init__(self, devices: list[DeviceState], m: int) -> None:
+        if not devices:
+            raise ValueError("device list must be non-empty")
+        if len(devices) > m:
+            raise ValueError(f"device count {len(devices)} exceeds candidate population {m}")
+        self.ids = [d.device_id for d in devices]
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError("device ids must be unique")
+        self.power = np.array([d.tx_power_dbm for d in devices], dtype=float)
+        self.has_data = np.array([d.has_data for d in devices], dtype=bool)
+        self.last_ack = np.array([d.last_ack_received for d in devices], dtype=bool)
+
+    def write_back(self, devices: list[DeviceState]) -> None:
+        for d, power, has_data, ack in zip(
+            devices, self.power.tolist(), self.has_data.tolist(), self.last_ack.tolist()
+        ):
+            d.tx_power_dbm, d.has_data, d.last_ack_received = power, has_data, ack
+
+
 def run_frame(
     devices: list[DeviceState],
     schedule: FrameSchedule,
@@ -157,61 +184,74 @@ def run_frame(
     The payload-phase SIC degree follows the estimate, capped at the
     hardware capability ``sic.degree``; the cap event is recorded in the
     broadcast trace record.  A zero estimate with active devices is a valid
-    frame with zero successes, not an error.
+    frame with zero successes, not an error.  ``run_session`` passes its
+    array state as ``devices``; a list is checked, converted and written
+    back.
     """
-    if not devices:
-        raise ValueError("device list must be non-empty")
-    if len(devices) > hyp_cfg.m:
-        raise ValueError(
-            f"device count {len(devices)} exceeds candidate population {hyp_cfg.m}"
-        )
-    if len({d.device_id for d in devices}) != len(devices):
-        raise ValueError("device ids must be unique")
+    if isinstance(devices, _Devices):
+        return _frame(devices, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
+                      trace)
+    state = _Devices(devices, hyp_cfg.m)
+    try:
+        return _frame(state, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
+                      trace)
+    finally:
+        state.write_back(devices)
 
+
+def _frame(
+    state: _Devices,
+    schedule: FrameSchedule,
+    hyp_cfg: HypothesisConfig,
+    sic: SicModel,
+    policy: BackoffPolicy,
+    seed: int,
+    frame_index: int,
+    frame_start: float,
+    trace: list[TraceEvent] | None,
+) -> FrameResult:
+    """``run_frame`` on array state: numpy work sized by the devices and M,
+    Python work by the detected devices."""
     rng = np.random.default_rng(seed)
     estimation_seed = int(rng.integers(0, 2**63 - 1))
 
-    active = [i for i, d in enumerate(devices) if d.has_data]
+    active = state.has_data.nonzero()[0]
     rejected = _frame_rejections(active, hyp_cfg, estimation_seed)
     # a false rejection past the last device counts in the estimate only
     estimated = int(np.count_nonzero(rejected))
-    rejects = rejected[: len(devices)].tolist()
-
     # only devices that transmitted a dummy carry a decodable ID, so a
     # rejected hypothesis maps to a detected device only when it is active
-    detected = [i for i in active if rejects[i]]
+    hit = rejected[active]
+    detected = active[hit]
     degree_used = min(estimated, sic.degree)
     # every detected device draws from the same -N..N range, so one vector
     # draw gives the values of power_backoff called in detected order
-    if detected:
-        steps = rng.integers(-estimated, estimated + 1, size=len(detected))
-        for i, n in zip(detected, steps.tolist()):
-            devices[i].tx_power_dbm += n * policy.delta_db
-    for i in active:
-        if not rejects[i]:
-            devices[i].tx_power_dbm += policy.slight_increase_db
+    if detected.size:
+        steps = rng.integers(-estimated, estimated + 1, size=detected.size)
+        state.power[detected] += steps * policy.delta_db
+    if detected.size < active.size:
+        state.power[active[~hit]] += policy.slight_increase_db
 
     # the payload burst is one cluster: every packet spans the same interval
+    ids = state.ids
+    detected_ids = [*map(ids.__getitem__, detected.tolist())]
     if sic.mode is SicMode.IDEAL:
-        successes = detected if len(detected) <= degree_used else []
+        successes = detected if detected.size <= degree_used else detected[:0]
     else:
-        dbm = [devices[i].tx_power_dbm for i in detected]
-        ids = [devices[i].device_id for i in detected]
-        successes = [detected[p] for p in _decode_cluster(dbm, ids, degree_used, sic)]
+        dbm = state.power[detected].tolist()
+        successes = detected[_decode_cluster(dbm, detected_ids, degree_used, sic)]
 
-    acked = set(successes)
-    for i in active:
-        devices[i].last_ack_received = i in acked
-        if i in acked:
-            devices[i].has_data = False
-    acked_ids = frozenset(devices[i].device_id for i in successes)
-    detected_ids = frozenset(devices[i].device_id for i in detected)
+    state.last_ack[active] = False
+    state.last_ack[successes] = True
+    state.has_data[successes] = False
+    acked_ids = frozenset(map(ids.__getitem__, successes.tolist()))
+    detected_set = frozenset(detected_ids)
 
     if trace is not None:
-        transmitters, acked_sorted = sorted(detected_ids), sorted(acked_ids)
+        transmitters, acked_sorted = sorted(detected_set), sorted(acked_ids)
         details = (
-            {"devices": len(devices)},
-            {"true_active": len(active), "estimated_count": estimated},
+            {"devices": len(ids)},
+            {"true_active": active.size, "estimated_count": estimated},
             {
                 "detected": transmitters,
                 "estimated_count": estimated,
@@ -229,10 +269,10 @@ def run_frame(
     raw = float(len(acked_ids))
     return FrameResult(
         estimated_count=estimated,
-        true_active_count=len(active),
+        true_active_count=active.size,
         payload_successes=len(acked_ids),
         acked_device_ids=acked_ids,
-        detected_device_ids=detected_ids,
+        detected_device_ids=detected_set,
         effective_throughput=effective_throughput(raw, schedule),
         raw_throughput=raw,
     )
@@ -273,6 +313,12 @@ def run_session(
     probability; per-frame seeds derive from the session seed, so the whole
     session is reproducible.  Per-frame rows that cannot be allocated raise
     a MemoryError naming ``frame_count``.
+
+    The device list is checked once, before the first draw, and the frames
+    run on arrays of its state; the arrays are written back to the
+    ``DeviceState`` objects when the session ends, also when a frame
+    raises.  Each frame still goes through the module's ``run_frame``, so
+    a per-frame observer can rebind it.
     """
     if operator.index(frame_count) < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
@@ -280,6 +326,8 @@ def run_session(
         raise ValueError(
             f"activation_probability must be in [0, 1], got {activation_probability!r}"
         )
+    # checked and converted once, before the first draw
+    state = _Devices(devices, hyp_cfg.m)
     rng = np.random.default_rng(seed)
     try:
         frame_seeds = rng.integers(0, 2**63 - 1, size=frame_count)
@@ -290,29 +338,31 @@ def run_session(
     except (MemoryError, ValueError):
         raise MemoryError(f"frame_count: cannot allocate {frame_count} frames") from None
     start = 0.0
-    for k in range(frame_count):
-        idle = [d for d in devices if not d.has_data]
-        for d, u in zip(idle, rng.random(len(idle)).tolist()):
-            if u < activation_probability:
-                d.has_data = True
-        r = run_frame(
-            devices,
-            schedule,
-            hyp_cfg,
-            sic,
-            policy,
-            seed=int(frame_seeds[k]),
-            frame_index=k,
-            frame_start=start,
-            trace=trace,
-        )
-        per_frame[:, k] = (
-            r.estimated_count,
-            r.true_active_count,
-            r.raw_throughput,
-            r.effective_throughput,
-        )
-        start += schedule.total
+    try:
+        for k in range(frame_count):
+            # one uniform per idle device, in list order
+            idle = (~state.has_data).nonzero()[0]
+            state.has_data[idle] = rng.random(idle.size) < activation_probability
+            r = run_frame(
+                state,
+                schedule,
+                hyp_cfg,
+                sic,
+                policy,
+                seed=int(frame_seeds[k]),
+                frame_index=k,
+                frame_start=start,
+                trace=trace,
+            )
+            per_frame[:, k] = (
+                r.estimated_count,
+                r.true_active_count,
+                r.raw_throughput,
+                r.effective_throughput,
+            )
+            start += schedule.total
+    finally:
+        state.write_back(devices)
 
     estimated, true_active, raws, effectives = per_frame
     errors = np.abs(estimated - true_active)

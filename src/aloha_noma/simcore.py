@@ -15,6 +15,7 @@ packets and gives the bits of a run over the whole stream at once.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -98,6 +99,13 @@ class SicModel:
                 raise ValueError("capture_threshold_db: must be finite in power_aware mode")
             if not math.isfinite(self.noise_floor_dbm):
                 raise ValueError("noise_floor_dbm: must be finite in power_aware mode")
+
+    @functools.cached_property
+    def _levels_mw(self) -> tuple[float, float]:
+        """The noise floor and the capture threshold in mW, worked out once
+        per model; the floor is inf past the mW overflow."""
+        noise_mw, theta = _dbm_to_mw([self.noise_floor_dbm, self.capture_threshold_db])
+        return noise_mw, theta
 
 
 @dataclass(frozen=True)
@@ -357,11 +365,18 @@ def _decode_relative(
     Relative to the stage's own packet neither happens: each weaker packet
     counts at most 1, and a noise floor far above the packet is infinite
     and fails it, as it should.
+
+    A stage converts its weaker packets with ``_mw`` in one array and adds
+    them from the weakest up, as ``_decode_chains`` does, so a cluster of n
+    packets costs numpy work of n per stage, not n Python pows.
     """
-    for j in range(min(len(stages), degree)):
-        x = stages[j]
-        *weaker, noise = _dbm_to_mw([y - x for y in stages[j + 1 :]] + [noise_dbm - x])
-        if not 1.0 >= theta * (sum(weaker[::-1]) + noise):
+    n = len(stages)
+    # the noise floor, then the packets weakest first
+    levels = np.array([noise_dbm, *reversed(stages)])
+    for j in range(min(n, degree)):
+        relative = _mw(levels[: n - j] - stages[j])
+        noise, relative[0] = relative[0], 0.0
+        if not 1.0 >= theta * (np.add.accumulate(relative)[-1] + noise):
             break
         yield j
 
@@ -377,17 +392,23 @@ def _decode_cluster(
     floor past the mW overflow is ordered and decided on dBm by
     ``_decode_relative``.
     """
-    mw = _dbm_to_mw(dbm)
-    noise_mw, theta = _dbm_to_mw([sic.noise_floor_dbm, sic.capture_threshold_db])
-    overflowed = math.inf in mw or noise_mw == math.inf
+    noise_mw, theta = sic._levels_mw
+    try:
+        # _dbm_to_mw's pow, with one handler for the whole cluster
+        mw = [10.0 ** (x / 10.0) for x in dbm]
+        overflowed = noise_mw == math.inf or math.inf in mw
+    except OverflowError:
+        overflowed = True
     power = dbm if overflowed else mw
-    order = sorted(range(len(power)), key=lambda j: (-power[j], ids[j]))
-    stages = [power[j] for j in order]
+    # strongest first, ties by id: the sort on power is stable in reverse too
+    order = sorted(range(len(power)), key=ids.__getitem__)
+    order.sort(key=power.__getitem__, reverse=True)
+    stages = [*map(power.__getitem__, order)]
     if overflowed:
         decoded = _decode_relative(stages, degree, theta, sic.noise_floor_dbm)
     else:
         decoded = _decode_chains(stages, [(0, len(order))], degree, theta, noise_mw)
-    return [order[p] for p in decoded]
+    return [*map(order.__getitem__, decoded)]
 
 
 def _mw(dbm: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import tracemalloc
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from aloha_noma import estimator, protocol
@@ -21,7 +24,8 @@ from aloha_noma.protocol import (
     run_frame,
     run_session,
 )
-from aloha_noma.simcore import SicMode, SicModel
+from aloha_noma.simcore import SicMode, SicModel, _dbm_to_mw, _decode_chains
+from aloha_noma.stats import batch_half_width
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -507,3 +511,217 @@ def test_frame_trace_golden_file():
     rendered = format_trace(trace)
     golden = (DATA_DIR / "frame_trace.golden").read_text(encoding="utf-8")
     assert rendered == golden
+
+
+def reference_decode(dbm, ids, degree, sic):
+    """Positions of one burst that the power-aware SIC chain decodes, with
+    Python pows and a (-power, id) sort key; past the mW overflow each stage
+    is decided on dBm relative to its own packet, weaker packets added from
+    the weakest up."""
+    mw = _dbm_to_mw(dbm)
+    noise_mw, theta = _dbm_to_mw([sic.noise_floor_dbm, sic.capture_threshold_db])
+    overflowed = math.inf in mw or noise_mw == math.inf
+    power = dbm if overflowed else mw
+    order = sorted(range(len(power)), key=lambda j: (-power[j], ids[j]))
+    stages = [power[j] for j in order]
+    if not overflowed:
+        return [order[p] for p in _decode_chains(stages, [(0, len(order))], degree, theta,
+                                                 noise_mw)]
+    decoded = []
+    for j in range(min(len(stages), degree)):
+        x = stages[j]
+        *weaker, noise = _dbm_to_mw([y - x for y in stages[j + 1:]] + [sic.noise_floor_dbm - x])
+        interference = 0.0
+        for w in reversed(weaker):
+            interference += w
+        if not 1.0 >= theta * (interference + noise):
+            break
+        decoded.append(order[j])
+    return decoded
+
+
+def reference_frame(devices, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
+                    trace):
+    """One frame on the DeviceState objects, device by device."""
+    if len({d.device_id for d in devices}) != len(devices):
+        raise ValueError("device ids must be unique")
+    rng = np.random.default_rng(seed)
+    estimation_seed = int(rng.integers(0, 2**63 - 1))
+    active = [i for i, d in enumerate(devices) if d.has_data]
+    # looked up on the module, so that a test can make it fail
+    rejected = protocol._frame_rejections(active, hyp_cfg, estimation_seed)
+    estimated = int(np.count_nonzero(rejected))
+    rejects = rejected[: len(devices)].tolist()
+    detected = [i for i in active if rejects[i]]
+    degree_used = min(estimated, sic.degree)
+    if detected:
+        steps = rng.integers(-estimated, estimated + 1, size=len(detected))
+        for i, n in zip(detected, steps.tolist()):
+            devices[i].tx_power_dbm += n * policy.delta_db
+    for i in active:
+        if not rejects[i]:
+            devices[i].tx_power_dbm += policy.slight_increase_db
+    if sic.mode is SicMode.IDEAL:
+        successes = detected if len(detected) <= degree_used else []
+    else:
+        dbm = [devices[i].tx_power_dbm for i in detected]
+        ids = [devices[i].device_id for i in detected]
+        successes = [detected[p] for p in reference_decode(dbm, ids, degree_used, sic)]
+    acked = set(successes)
+    for i in active:
+        devices[i].last_ack_received = i in acked
+        if i in acked:
+            devices[i].has_data = False
+    acked_ids = frozenset(devices[i].device_id for i in successes)
+    detected_ids = frozenset(devices[i].device_id for i in detected)
+    if trace is not None:
+        transmitters, acked_sorted = sorted(detected_ids), sorted(acked_ids)
+        details = (
+            {"devices": len(devices)},
+            {"true_active": len(active), "estimated_count": estimated},
+            {"detected": transmitters, "estimated_count": estimated,
+             "capped": estimated > sic.degree},
+            {"transmitters": transmitters, "degree_used": degree_used, "successes": acked_sorted},
+            {"acked": acked_sorted},
+        )
+        start = frame_start
+        for phase, detail in zip(PHASES, details):
+            end = start + getattr(schedule, phase)
+            trace.append(protocol.TraceEvent(frame_index, phase, start, end, detail))
+            start = end
+    raw = float(len(acked_ids))
+    return estimated, len(active), raw, effective_throughput(raw, schedule)
+
+
+def reference_session(frame_count, activation_probability, devices, schedule, hyp_cfg, sic,
+                      policy, seed, trace=None):
+    """``run_session`` as a loop over DeviceState objects, each frame
+    checking the list and walking every device."""
+    rng = np.random.default_rng(seed)
+    frame_seeds = rng.integers(0, 2**63 - 1, size=frame_count)
+    rows, start = [], 0.0
+    for k in range(frame_count):
+        idle = [d for d in devices if not d.has_data]
+        for d, u in zip(idle, rng.random(len(idle)).tolist()):
+            if u < activation_probability:
+                d.has_data = True
+        rows.append(reference_frame(devices, schedule, hyp_cfg, sic, policy,
+                                    int(frame_seeds[k]), k, start, trace))
+        start += schedule.total
+    estimated, true_active, raws, effectives = np.array(rows).T
+    errors = np.abs(estimated - true_active)
+    mean_raw = float(np.mean(raws))
+    return SessionStats(
+        frame_count, float(np.mean(estimated)), float(np.mean(true_active)),
+        float(np.mean(errors)), mean_raw, mean_raw, float(np.mean(effectives)),
+        batch_half_width(raws), batch_half_width(effectives), batch_half_width(errors),
+    )
+
+
+@st.composite
+def device_lists(draw):
+    """Up to 10 devices with sparse ids in shuffled order and preset flags;
+    powers often tie, and 3090 and 4000 dBm lie past the mW overflow."""
+    n = draw(st.integers(1, 10))
+    ids = [5 * i - 17 for i in draw(st.permutations(range(n)))]
+    power = st.one_of(
+        st.sampled_from([0.0, 2.0, 3082.0, 3090.0, 4000.0]), st.floats(-100.0, 100.0)
+    )
+    return [
+        DeviceState(i, has_data=draw(st.booleans()), tx_power_dbm=draw(power),
+                    last_ack_received=draw(st.booleans()))
+        for i in ids
+    ]
+
+
+@st.composite
+def hypothesis_configs(draw, n):
+    """A candidate population of n to n + 4, with one signal for all or a
+    signal per candidate."""
+    m = n + draw(st.integers(0, 4))
+    alpha = draw(st.sampled_from([0.05, 0.3]))
+    if draw(st.booleans()):
+        signals = draw(st.lists(st.sampled_from([0.5, 2.0, 8.0]), min_size=m, max_size=m))
+        return HypothesisConfig(m, alpha, 1.0, 1.0, per_device_signal=tuple(signals))
+    return HypothesisConfig(m, alpha, draw(st.sampled_from([1.0, 3.0, 8.0])), 1.0)
+
+
+class TestSessionOnArrays:
+    @settings(deadline=None)
+    @given(
+        st.data(),
+        device_lists(),
+        st.integers(1, 12),
+        st.sampled_from([0.0, 0.2, 0.7, 1.0]),
+        st.sampled_from([SicMode.IDEAL, SicMode.POWER_AWARE]),
+        st.integers(1, 8),
+        st.sampled_from([-3.0, 6.0]),
+        st.sampled_from([-30.0, 3000.0]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_matches_per_object_loop(self, data, devs, frames, activation, mode, degree,
+                                     threshold_db, noise_dbm, traced, seed):
+        # below 0 dB a packet can clear an equal one, so power ties decode
+        # in id order
+        hyp_cfg = data.draw(hypothesis_configs(len(devs)))
+        sic = SicModel(degree, mode, threshold_db, noise_dbm)
+        args = (FrameSchedule(), hyp_cfg, sic, BackoffPolicy())
+        expected_devs, expected_trace = copy.deepcopy(devs), [] if traced else None
+        expected = reference_session(frames, activation, expected_devs, *args, seed,
+                                     expected_trace)
+        trace = [] if traced else None
+        stats = run_session(frames, activation, devs, *args, seed=seed, trace=trace)
+        assert repr(stats) == repr(expected)
+        assert repr(devs) == repr(expected_devs)
+        if traced:
+            assert format_trace(trace) == format_trace(expected_trace)
+
+    def test_duplicate_ids_raise_before_any_draw(self, monkeypatch):
+        draws = []
+
+        def recording(*args):
+            draws.append(args)
+            return default_rng(*args)
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        devs = [DeviceState(3), DeviceState(8, has_data=True, tx_power_dbm=2.0), DeviceState(3)]
+        before = copy.deepcopy(devs)
+        with pytest.raises(ValueError, match="^device ids must be unique$"):
+            run_session(5, 1.0, devs, FrameSchedule(), strong_config(), SicModel(degree=4),
+                        BackoffPolicy(), seed=1)
+        assert draws == []
+        assert devs == before
+
+    @pytest.mark.parametrize("failing_frame", [0, 3])
+    @pytest.mark.parametrize("mode", [SicMode.IDEAL, SicMode.POWER_AWARE])
+    def test_failed_frame_leaves_devices_as_per_object_loop(self, monkeypatch, failing_frame,
+                                                            mode):
+        # frame k's activation draws happen before its estimation fails
+        def failing_at(k):
+            calls = []
+
+            def rejections(*args):
+                calls.append(args)
+                if len(calls) > k:
+                    raise MemoryError
+                return frame_rejections(*args)
+
+            return rejections
+
+        frame_rejections = protocol._frame_rejections
+        args = (FrameSchedule(), strong_config(m=12), SicModel(degree=4, mode=mode),
+                BackoffPolicy())
+        devs = devices(12, active=[0, 5], power=1.0)
+        expected = copy.deepcopy(devs)
+        monkeypatch.setattr(protocol, "_frame_rejections", failing_at(failing_frame))
+        with pytest.raises(MemoryError):
+            reference_session(10, 0.5, expected, *args, seed=9)
+        monkeypatch.setattr(protocol, "_frame_rejections", failing_at(failing_frame))
+        with pytest.raises(MemoryError):
+            run_session(10, 0.5, devs, *args, seed=9)
+        assert repr(devs) == repr(expected)
+        # the state differs from the initial one, so the failed frame's
+        # activation draws were written back too
+        assert sum(d.has_data for d in devs) > 2

@@ -418,6 +418,25 @@ def bursts(draw):
     return levels, draw(st.permutations(range(len(levels))))
 
 
+@st.composite
+def long_bursts(draw):
+    """Quarter-decibel powers of one burst of up to 50 packets, so a 3000 dB
+    lift adds exactly, with sparse device ids in shuffled order; powers
+    often tie."""
+    levels = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-30.0, 0.0, 6.0, 80.0]),
+                st.integers(-200, 330).map(lambda q: q / 4.0),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    ids = draw(st.permutations(range(len(levels))))
+    return levels, [7 * i - 40 for i in ids]
+
+
 class TestClusterDecoder:
     @settings(deadline=None)
     @given(
@@ -433,6 +452,41 @@ class TestClusterDecoder:
         txs = [Transmission(i, 0.0, 1.0, p) for i, p in zip(ids, levels)]
         flagged = [j for j, ok in enumerate(resolve_sic(txs, model)) if ok]
         assert sorted(_decode_cluster(levels, ids, degree, model)) == flagged
+
+    @settings(deadline=None)
+    @given(
+        long_bursts(),
+        st.integers(1, 8),
+        st.sampled_from([-10.0, -3.0, 0.0, 6.0]),
+        st.sampled_from(["none", "power", "noise"]),
+    )
+    def test_matches_chain_walk_on_long_bursts(self, burst, degree, threshold_db, lift):
+        # the reference walks _decode_chains over one run in (-mW, id) order;
+        # lifted by 3000 dB, one packet ("power") or the noise floor
+        # ("noise") passes the mW overflow and the decoder decides on dBm
+        levels, ids = burst
+        model = SicModel(
+            degree, SicMode.POWER_AWARE, threshold_db, 85.0 if lift == "noise" else -30.0
+        )
+        if lift == "power":
+            levels = levels + [84.0]
+            ids = ids + [max(ids) + 1]
+        mw = _dbm_to_mw(levels)
+        noise_mw, theta = _dbm_to_mw([model.noise_floor_dbm, threshold_db])
+        order = sorted(range(len(levels)), key=lambda j: (-mw[j], ids[j]))
+        stages = [mw[j] for j in order]
+        runs = [(0, len(order))]
+        expected = [order[p] for p in _decode_chains(stages, runs, degree, theta, noise_mw)]
+        if lift == "none":
+            assert _decode_cluster(levels, ids, degree, model) == expected
+            return
+        # relative and absolute powers round differently, so decisions within
+        # rounding of the threshold may go either way
+        txs = [Transmission(i, 0.0, 1.0, p) for i, p in zip(ids, levels)]
+        assume(exact_power_chain(txs, model)[1] > 1e-9)
+        lifted = replace(model, noise_floor_dbm=model.noise_floor_dbm + 3000.0)
+        assert math.inf in _dbm_to_mw([x + 3000.0 for x in levels] + [lifted.noise_floor_dbm])
+        assert _decode_cluster([x + 3000.0 for x in levels], ids, degree, lifted) == expected
 
 
 class TestPowerOverflow:
