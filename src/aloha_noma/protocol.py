@@ -144,7 +144,8 @@ def effective_throughput(raw: float, schedule: FrameSchedule) -> float:
 
 class _Devices:
     """A session's device states as arrays, in list order; the ids stay the
-    given objects.  Made only from a list that passes the session's checks.
+    given objects.  Building one checks the list: non-empty, at most M
+    devices, unique ids.
     """
 
     __slots__ = ("ids", "power", "has_data", "last_ack")
@@ -161,10 +162,15 @@ class _Devices:
         self.has_data = np.array([d.has_data for d in devices], dtype=bool)
         self.last_ack = np.array([d.last_ack_received for d in devices], dtype=bool)
 
-    def write_back(self, devices: list[DeviceState]) -> None:
-        for d, power, has_data, ack in zip(
-            devices, self.power.tolist(), self.has_data.tolist(), self.last_ack.tolist()
+    def write_back(self, devices: list[DeviceState], positions: np.ndarray) -> None:
+        """Copy the state at ``positions`` back to those ``devices``."""
+        for i, power, has_data, ack in zip(
+            positions.tolist(),
+            self.power[positions].tolist(),
+            self.has_data[positions].tolist(),
+            self.last_ack[positions].tolist(),
         ):
+            d = devices[i]
             d.tx_power_dbm, d.has_data, d.last_ack_received = power, has_data, ack
 
 
@@ -192,11 +198,13 @@ def run_frame(
         return _frame(devices, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
                       trace)
     state = _Devices(devices, hyp_cfg.m)
+    # a frame changes only the devices that are active at its start
+    active = state.has_data.nonzero()[0]
     try:
         return _frame(state, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
                       trace)
     finally:
-        state.write_back(devices)
+        state.write_back(devices, active)
 
 
 def _frame(
@@ -362,7 +370,7 @@ def run_session(
             )
             start += schedule.total
     finally:
-        state.write_back(devices)
+        state.write_back(devices, np.arange(len(devices)))
 
     estimated, true_active, raws, effectives = per_frame
     errors = np.abs(estimated - true_active)
