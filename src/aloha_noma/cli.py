@@ -15,6 +15,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -46,29 +47,25 @@ class ConfigError(ValueError):
 
 
 # A config field is (JSON key, constructor argument, type, default); the
-# _REQUIRED default makes the key mandatory.
+# _REQUIRED default makes the key mandatory, and an absent _LIBRARY key is
+# left to the constructor's own default.
 _REQUIRED = object()
+_LIBRARY = object()
 SIC_FIELDS = (
     ("degree", "degree", int, 1),
-    ("mode", "mode", simcore.SicMode, simcore.SicMode.IDEAL),
-    ("capture_threshold_db", "capture_threshold_db", float, 6.0),
-    ("noise_floor_dbm", "noise_floor_dbm", float, -30.0),
+    ("mode", "mode", simcore.SicMode, _LIBRARY),
+    ("capture_threshold_db", "capture_threshold_db", float, _LIBRARY),
+    ("noise_floor_dbm", "noise_floor_dbm", float, _LIBRARY),
 )
 SIM_FIELDS = (
     ("offered_load_g", "offered_load_g", float, _REQUIRED),
     ("packet_duration_s", "packet_duration", float, 1.0),
     ("horizon_s", "horizon", float, _REQUIRED),
-    ("warmup_s", "warmup", float, 0.0),
-    ("base_power_dbm", "base_power_dbm", float, 0.0),
-    ("shadowing_sigma_db", "shadowing_sigma_db", float, 0.0),
+    ("warmup_s", "warmup", float, _LIBRARY),
+    ("base_power_dbm", "base_power_dbm", float, _LIBRARY),
+    ("shadowing_sigma_db", "shadowing_sigma_db", float, _LIBRARY),
 )
-SCHEDULE_FIELDS = (
-    ("beacon_s", "beacon", float, 1.0),
-    ("estimation_s", "estimation", float, 1.0),
-    ("broadcast_s", "broadcast", float, 1.0),
-    ("payload_s", "payload", float, 96.0),
-    ("ack_s", "ack", float, 1.0),
-)
+SCHEDULE_FIELDS = tuple((f"{phase}_s", phase, float, _LIBRARY) for phase in protocol.PHASES)
 # the candidate count "m" defaults to the device count, so each session adds it
 HYPOTHESIS_FIELDS = (
     ("alpha", "alpha", float, 0.05),
@@ -76,14 +73,15 @@ HYPOTHESIS_FIELDS = (
     ("noise_sigma", "noise_sigma", float, 1.0),
 )
 BACKOFF_FIELDS = (
-    ("delta_db", "delta_db", float, 2.0),
-    ("slight_increase_db", "slight_increase_db", float, 1.0),
+    ("delta_db", "delta_db", float, _LIBRARY),
+    ("slight_increase_db", "slight_increase_db", float, _LIBRARY),
 )
-# one estimator-bench cell, read from a copy of the config holding one entry of each list
+# one estimator-bench cell, read from a copy of the config holding one entry
+# of each list; the snr is the mean signal in units of noise_sigma
 BENCH_CELL_FIELDS = (
-    ("m_values", "m_values", int, _REQUIRED),
-    ("alphas", "alphas", float, _REQUIRED),
-    ("snrs", "snrs", float, _REQUIRED),
+    ("m_values", "m", int, _REQUIRED),
+    ("alphas", "alpha", float, _REQUIRED),
+    ("snrs", "mean_signal", float, _REQUIRED),
 )
 # the top-level keys each command reads; any other key is an error
 SIMULATE_KEYS = ("seed", "sic", *(key for key, *_ in SIM_FIELDS))
@@ -215,17 +213,19 @@ def _build(
     **fixed: Any,
 ) -> Any:
     """``ctor`` called with the fields read from ``cfg[section]`` (``cfg``
-    itself for section "") plus ``fixed``; its ValueError becomes a
-    ConfigError under the section prefix, naming the JSON key where the
-    message starts with a field's argument.  A section may hold only its
-    fields' keys; the top level is checked by ``_load_config``."""
+    itself for section ""), less the absent _LIBRARY ones, plus ``fixed``;
+    its ValueError becomes a ConfigError under the section prefix, naming
+    the JSON key where the message starts with a field's argument.  A
+    section may hold only its fields' keys; the top level is checked by
+    ``_load_config``."""
     raw = cfg.get(section, {}) if section else cfg
     if not isinstance(raw, dict):
         raise ConfigError(f"{section}: expected an object")
     prefix = f"{section}." if section else ""
     if section:
         _reject_unknown(raw, [key for key, *_ in fields], prefix)
-    kwargs = {arg: _get(raw, key, kind, default, prefix) for key, arg, kind, default in fields}
+    kwargs = {arg: _get(raw, key, kind, default, prefix) for key, arg, kind, default in fields
+              if default is not _LIBRARY or key in raw}
     try:
         return ctor(**kwargs, **fixed)
     except ValueError as exc:
@@ -243,6 +243,30 @@ def _seeds(args: argparse.Namespace, cfg: dict[str, Any]) -> list[int]:
     if args.replications < 1:
         raise ConfigError(f"replications: must be >= 1, got {args.replications}")
     return [base + k for k in range(args.replications)]
+
+
+# the stats field behind each result column named differently
+_STATS_FIELDS = {"ci_half_width": "confidence_half_width"}
+
+
+def _replicate(
+    args: argparse.Namespace, header: str, seeds: list[int], run: Callable[[int], Any]
+) -> dict[str, Any]:
+    """Run each seed, append one row per run and return the summary fields
+    that ``simulate`` and ``frame-session`` share.  A row is the seed and
+    the fields of the run's stats that the header's other columns name."""
+    columns = header.split(",")
+    records = []
+    for seed in seeds:
+        stats = run(seed)
+        # printed after the run, so that an allocation error is the first line
+        print(f"{args.command}: seed={seed}", file=sys.stderr)
+        records.append(
+            {c: seed if c == "seed" else getattr(stats, _STATS_FIELDS.get(c, c)) for c in columns}
+        )
+    _write_csv(args, header, records, append=True)
+    return {"command": args.command, "out": str(args.out), "replications": args.replications,
+            "seeds": seeds, "records": records}
 
 
 def _single_replication(args: argparse.Namespace, command: str) -> None:
@@ -326,46 +350,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, SIMULATE_KEYS)
     seeds = _seeds(args, cfg)
     sic = _build(simcore.SicModel, cfg, "sic", SIC_FIELDS)
-    configs = [_build(simcore.SimConfig, cfg, "", SIM_FIELDS, sic=sic, seed=s) for s in seeds]
+    config = _build(simcore.SimConfig, cfg, "", SIM_FIELDS, sic=sic, seed=seeds[0])
     _check_append(args.out, SIMULATE_HEADER)
 
-    records = []
-    for config in configs:
+    def run(seed: int) -> simcore.SimStats:
         try:
-            stats = simcore.run_simulation(config)
+            return simcore.run_simulation(replace(config, seed=seed))
         # a power-aware overlap cluster is held whole, however long it grows
         except MemoryError:
             raise ConfigError(
                 f"horizon_s: cannot allocate the packets of {config.horizon!r} s "
                 f"at offered_load_g {config.offered_load_g!r}"
             ) from None
-        # printed after the run, so that an allocation error is the first line
-        print(f"simulate: seed={config.seed}", file=sys.stderr)
-        records.append(
-            {
-                "seed": config.seed,
-                "offered": stats.offered,
-                "succeeded": stats.succeeded,
-                "normalized_throughput": stats.normalized_throughput,
-                "ci_half_width": stats.confidence_half_width,
-                "mean_concurrency": stats.mean_concurrency,
-                "degenerate": stats.degenerate,
-            }
-        )
-    _write_csv(args, SIMULATE_HEADER, records, append=True)
 
-    summary: dict[str, Any] = {
-        "command": "simulate",
-        "out": str(args.out),
-        "replications": args.replications,
-        "seeds": seeds,
-        "records": records,
-        "mean_throughput": float(
-            np.mean([r["normalized_throughput"] for r in records])
-        ),
-    }
+    summary = _replicate(args, SIMULATE_HEADER, seeds, run)
+    summary["mean_throughput"] = float(
+        np.mean([r["normalized_throughput"] for r in summary["records"]])
+    )
     if sic.mode is simcore.SicMode.IDEAL:
-        reference = analytic.throughput(configs[0].offered_load_g, sic.degree)
+        reference = analytic.throughput(config.offered_load_g, sic.degree)
         summary["analytic_throughput"] = reference
         summary["ratio_to_analytic"] = (
             summary["mean_throughput"] / reference if reference > 0 else None
@@ -405,8 +408,7 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
     seeds = _seeds(args, cfg)
     _check_append(args.out, FRAME_SESSION_HEADER)
 
-    records = []
-    for seed in seeds:
+    def run(seed: int) -> protocol.SessionStats:
         try:
             devices = [
                 protocol.DeviceState(device_id=i, tx_power_dbm=power0)
@@ -415,7 +417,7 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
         except MemoryError:
             raise ConfigError(f"devices: cannot allocate {device_count} devices") from None
         try:
-            stats = protocol.run_session(
+            return protocol.run_session(
                 frames, activation, devices, schedule, hyp, sic, policy, seed
             )
         except (MemoryError, ValueError) as exc:
@@ -426,44 +428,25 @@ def cmd_frame_session(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"hypothesis.m: cannot allocate a frame's arrays of M = {hyp.m}"
             ) from None
-        # printed after the session, so that an allocation error is the first line
-        print(f"frame-session: seed={seed}", file=sys.stderr)
-        # every column after the seed is the SessionStats field of that name
-        columns = FRAME_SESSION_HEADER.split(",")
-        records.append({c: seed if c == "seed" else getattr(stats, c) for c in columns})
-    _write_csv(args, FRAME_SESSION_HEADER, records, append=True)
+
+    summary = _replicate(args, FRAME_SESSION_HEADER, seeds, run)
     if schedule.overhead >= schedule.payload:
         print(
             "warning: overhead-dominated schedule; effective throughput is "
             "less than half of raw",
             file=sys.stderr,
         )
-    _emit_summary(
-        {
-            "command": "frame-session",
-            "out": str(args.out),
-            "replications": args.replications,
-            "seeds": seeds,
-            "records": records,
-            "efficiency": schedule.payload / schedule.total,
-        }
-    )
+    summary["efficiency"] = schedule.payload / schedule.total
+    _emit_summary(summary)
     return 0
 
 
-# HypothesisConfig's errors start with the argument name; the bench names its list
-_BENCH_LISTS = {"m": "m_values", "alpha": "alphas", "mean_signal": "snrs"}
-
-
 def _bench_cell(
-    m_values: int, alphas: float, snrs: float, noise_sigma: float
+    m: int, alpha: float, mean_signal: float, noise_sigma: float
 ) -> tuple[float, estimator.HypothesisConfig]:
-    """The snr and hypothesis setup of one estimator-bench cell, with mean
-    signal snr * noise_sigma; an error names the list of the bad entry."""
-    try:
-        return snrs, estimator.HypothesisConfig(m_values, alphas, snrs * noise_sigma, noise_sigma)
-    except ValueError as exc:
-        raise ValueError(f"{_BENCH_LISTS[str(exc).split(':')[0]]}: {exc}") from None
+    """The snr and hypothesis setup of one estimator-bench cell, whose mean
+    signal is given in units of ``noise_sigma``: that is its snr."""
+    return mean_signal, estimator.HypothesisConfig(m, alpha, mean_signal * noise_sigma, noise_sigma)
 
 
 def _usable_cpus() -> int:

@@ -201,8 +201,9 @@ def run_frame(
     # a frame changes only the devices that are active at its start
     active = state.has_data.nonzero()[0]
     try:
-        return _frame(state, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
-                      trace)
+        with np.errstate(over="ignore"):  # as in run_session
+            return _frame(state, schedule, hyp_cfg, sic, policy, seed, frame_index,
+                          frame_start, trace)
     finally:
         state.write_back(devices, active)
 
@@ -347,28 +348,31 @@ def run_session(
         raise MemoryError(f"frame_count: cannot allocate {frame_count} frames") from None
     start = 0.0
     try:
-        for k in range(frame_count):
-            # one uniform per idle device, in list order
-            idle = (~state.has_data).nonzero()[0]
-            state.has_data[idle] = rng.random(idle.size) < activation_probability
-            r = run_frame(
-                state,
-                schedule,
-                hyp_cfg,
-                sic,
-                policy,
-                seed=int(frame_seeds[k]),
-                frame_index=k,
-                frame_start=start,
-                trace=trace,
-            )
-            per_frame[:, k] = (
-                r.estimated_count,
-                r.true_active_count,
-                r.raw_throughput,
-                r.effective_throughput,
-            )
-            start += schedule.total
+        # the back-off is unbounded, so a power may pass float range to +-inf,
+        # which simcore decodes; one error state per session, not per frame
+        with np.errstate(over="ignore"):
+            for k in range(frame_count):
+                # one uniform per idle device, in list order
+                idle = (~state.has_data).nonzero()[0]
+                state.has_data[idle] = rng.random(idle.size) < activation_probability
+                r = run_frame(
+                    state,
+                    schedule,
+                    hyp_cfg,
+                    sic,
+                    policy,
+                    seed=int(frame_seeds[k]),
+                    frame_index=k,
+                    frame_start=start,
+                    trace=trace,
+                )
+                per_frame[:, k] = (
+                    r.estimated_count,
+                    r.true_active_count,
+                    r.raw_throughput,
+                    r.effective_throughput,
+                )
+                start += schedule.total
     finally:
         state.write_back(devices, np.arange(len(devices)))
 

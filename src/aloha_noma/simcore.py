@@ -303,13 +303,18 @@ def overlap_count(tx: Transmission, transmissions: list[Transmission]) -> int:
     return int(_overlap_counts(starts[order], ends[order])[order.argmax()]) - 1
 
 
-def _dbm_to_mw(dbm: Iterable[float]) -> list[float]:
+def _dbm_to_mw(dbm: Sequence[float]) -> list[float]:
     """Convert dBm to mW with Python's float pow, inf where the pow overflows.
 
     Not np.power, which differs in the last bit on some values and would
     move borderline SINR decisions.  The pow overflows above about
     3082.5 dBm, a level the unbounded power back-off can reach.
     """
+    try:
+        # one handler for the whole list while no pow overflows
+        return [10.0 ** (x / 10.0) for x in dbm]
+    except OverflowError:
+        pass
     mw = []
     for x in dbm:
         try:
@@ -393,19 +398,18 @@ def _decode_cluster(
     ``_decode_relative``.
     """
     noise_mw, theta = sic._levels_mw
-    try:
-        # _dbm_to_mw's pow, with one handler for the whole cluster
-        mw = [10.0 ** (x / 10.0) for x in dbm]
-        overflowed = noise_mw == math.inf or math.inf in mw
-    except OverflowError:
-        overflowed = True
+    mw = _dbm_to_mw(dbm)
+    overflowed = noise_mw == math.inf or math.inf in mw
     power = dbm if overflowed else mw
     # strongest first, ties by id: the sort on power is stable in reverse too
     order = sorted(range(len(power)), key=ids.__getitem__)
     order.sort(key=power.__getitem__, reverse=True)
     stages = [*map(power.__getitem__, order)]
     if overflowed:
-        decoded = _decode_relative(stages, degree, theta, sic.noise_floor_dbm)
+        # a dBm difference past float range is the right relative level, +-inf;
+        # an inf - inf tie is nan, which fails its SINR test: not decoded
+        with np.errstate(over="ignore", invalid="ignore"):
+            decoded = [*_decode_relative(stages, degree, theta, sic.noise_floor_dbm)]
     else:
         decoded = _decode_chains(stages, [(0, len(order))], degree, theta, noise_mw)
     return [*map(order.__getitem__, decoded)]
@@ -459,7 +463,7 @@ def _resolve(
     sizes = np.diff(firsts, append=starts.size)
 
     powers_mw = _mw(powers_dbm)
-    noise_mw, theta = _mw(np.array([sic.noise_floor_dbm, sic.capture_threshold_db])).tolist()
+    noise_mw, theta = sic._levels_mw
     flags = np.zeros(starts.size, dtype=bool)
     # the clusters grouped by size, each group in start order: a stable
     # sort, a radix sort on sizes that fit 16 bits, and one slice per size

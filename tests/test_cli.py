@@ -1,15 +1,17 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aloha_noma import analytic, cli, protocol
+from aloha_noma import analytic, cli, protocol, simcore
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -976,3 +978,63 @@ def test_former_tracebacks_exit_2(capsys, tmp_path, argv, config, field):
     assert err.startswith(f"error: {field}: ")
     assert stdout == ""
     assert not out.exists()
+
+
+# Per command, each config section with _LIBRARY fields and the constructor
+# that owns their defaults; "" is the top level.
+LIBRARY_SECTIONS = {
+    "simulate": [("", cli.SIM_FIELDS, simcore.SimConfig), ("sic", cli.SIC_FIELDS, simcore.SicModel)],
+    "frame-session": [
+        ("schedule", cli.SCHEDULE_FIELDS, protocol.FrameSchedule),
+        ("backoff", cli.BACKOFF_FIELDS, protocol.BackoffPolicy),
+        ("sic", cli.SIC_FIELDS, simcore.SicModel),
+    ],
+}
+# configs that omit every _LIBRARY key
+SPARSE_CONFIGS = {
+    "simulate": {"offered_load_g": 0.7, "horizon_s": 3000.0, "seed": 2, "sic": {"degree": 2}},
+    "frame-session": {
+        "frames": 40, "devices": 6, "activation_probability": 0.4, "seed": 1,
+        "sic": {"degree": 3},
+    },
+}
+
+
+def spelled_out(command, sparse):
+    """``sparse`` with each absent key whose constructor argument has a
+    default set to that default; every _LIBRARY key is among them."""
+    full = json.loads(json.dumps(sparse))
+    for section, fields, ctor in LIBRARY_SECTIONS[command]:
+        defaults = {f.name: f.default for f in dataclasses.fields(ctor)}
+        target = full.setdefault(section, {}) if section else full
+        for key, arg, _, default in fields:
+            value = defaults.get(arg, dataclasses.MISSING)
+            if value is dataclasses.MISSING:
+                assert default is not cli._LIBRARY, f"{ctor.__name__}.{arg} has no default"
+            else:
+                target.setdefault(key, value.value if isinstance(value, Enum) else value)
+    return full
+
+
+@pytest.mark.parametrize("mode", ["default", "power_aware"])
+@pytest.mark.parametrize("command", sorted(SPARSE_CONFIGS))
+def test_absent_library_keys_take_the_constructor_defaults(capsys, tmp_path, command, mode):
+    sparse = json.loads(json.dumps(SPARSE_CONFIGS[command]))
+    if mode != "default":
+        sparse["sic"]["mode"] = mode
+    full = spelled_out(command, sparse)
+    assert full != sparse
+    outputs = []
+    for name, config in (("sparse", sparse), ("full", full)):
+        out = tmp_path / f"{name}.csv"
+        code, stdout, err = run_cli(
+            capsys, command, write_config(tmp_path, f"{name}.json", config), "--out", str(out),
+            "--replications", "2", "--no-timestamp",
+        )
+        assert code == 0, err
+        outputs.append((out.read_bytes(), stdout.replace(str(out), "OUT"), err))
+    assert outputs[0] == outputs[1]
+
+
+def test_schedule_keys_are_the_frame_phases():
+    assert [key for key, *_ in cli.SCHEDULE_FIELDS] == [f"{phase}_s" for phase in protocol.PHASES]

@@ -725,3 +725,26 @@ class TestSessionOnArrays:
         # the state differs from the initial one, so the failed frame's
         # activation draws were written back too
         assert sum(d.has_data for d in devs) > 2
+
+
+class TestPowerStepsPastFloatRange:
+    # pytest turns a RuntimeWarning into an error, so these also check that
+    # numpy warns of nothing when a back-off step takes a power past float
+    # range
+    POLICY = BackoffPolicy(delta_db=1e307)
+    SIC = SicModel(degree=4, mode=SicMode.POWER_AWARE)
+
+    def test_session_runs(self):
+        devs = devices(10, active=[])
+        stats = run_session(20, 0.5, devs, FrameSchedule(), HypothesisConfig(10, 0.05, 5.0, 1.0),
+                            self.SIC, self.POLICY, seed=3)
+        assert stats.mean_payload_successes > 0
+        assert any(math.isinf(d.tx_power_dbm) for d in devs)
+
+    def test_frame_on_a_list_runs(self):
+        # from 1.7e308 dBm any upward step overflows; the inf dBm devices
+        # tie, so the chain decodes nothing
+        devs = devices(10, power=1.7e308)
+        result = run_frame(devs, FrameSchedule(), strong_config(), self.SIC, self.POLICY, seed=0)
+        assert result.payload_successes == 0
+        assert sum(math.isinf(d.tx_power_dbm) for d in devs) == 3

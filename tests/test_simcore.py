@@ -903,3 +903,32 @@ class TestStreaming:
                 total.add(part)
             assert total.total() == float(values.sum()), n
 
+
+
+class TestDifferencesPastFloatRange:
+    # pytest turns a RuntimeWarning into an error, so each of these also
+    # checks that numpy warns of nothing
+    MODEL = SicModel(2, SicMode.POWER_AWARE)
+
+    def test_spread_past_float_range_decodes_the_strong_packet(self):
+        # 1e308 - -1e308 dB is inf: relative to the strong packet the weak
+        # one and the noise count zero, relative to the weak one the noise
+        # is infinite
+        assert _decode_cluster([1e308, -1e308], [0, 1], 2, self.MODEL) == [0]
+
+    def test_infinite_tie_decodes_nothing(self):
+        # relative to either of two inf dBm packets the other one is
+        # inf - inf, nan, and nan fails the SINR test; the chain stops there
+        assert _decode_cluster([math.inf, math.inf], [0, 1], 2, self.MODEL) == []
+        three = SicModel(3, SicMode.POWER_AWARE)
+        assert _decode_cluster([math.inf, 0.0, math.inf], [0, 1, 2], 3, three) == []
+        # one inf dBm packet is no tie: it and the packet after it decode
+        assert _decode_cluster([math.inf, 0.0], [0, 1], 2, self.MODEL) == [0, 1]
+
+    def test_shadowing_past_float_range_runs(self):
+        # normal offsets of sigma 1e308 dB leave some powers +-inf
+        config = sim_config(g=1.0, horizon=200.0, degree=2, shadowing_sigma_db=1e308,
+                            sic_kw={"mode": SicMode.POWER_AWARE})
+        stats = run_simulation(config)
+        assert 0 < stats.succeeded < stats.offered
+        assert run_simulation(config) == stats
