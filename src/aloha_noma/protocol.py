@@ -12,12 +12,13 @@ their power up for the next frame.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -162,16 +163,26 @@ class _Devices:
         self.has_data = np.array([d.has_data for d in devices], dtype=bool)
         self.last_ack = np.array([d.last_ack_received for d in devices], dtype=bool)
 
-    def write_back(self, devices: list[DeviceState], positions: np.ndarray) -> None:
-        """Copy the state at ``positions`` back to those ``devices``."""
-        for i, power, has_data, ack in zip(
-            positions.tolist(),
-            self.power[positions].tolist(),
-            self.has_data[positions].tolist(),
-            self.last_ack[positions].tolist(),
+    def write_back(self, devices: list[DeviceState]) -> None:
+        """Copy the state back to ``devices``."""
+        for d, power, has_data, ack in zip(
+            devices, self.power.tolist(), self.has_data.tolist(), self.last_ack.tolist()
         ):
-            d = devices[i]
             d.tx_power_dbm, d.has_data, d.last_ack_received = power, has_data, ack
+
+    @classmethod
+    @contextlib.contextmanager
+    def of(cls, devices: list[DeviceState], m: int) -> Iterator[_Devices]:
+        """The checked state of ``devices``, written back to every device on
+        exit, also when the body raises.  The back-off is unbounded, so a
+        power may pass float range to +-inf, which simcore decodes; the body
+        runs with overflow warnings off, none set per frame."""
+        state = cls(devices, m)
+        try:
+            with np.errstate(over="ignore"):
+                yield state
+        finally:
+            state.write_back(devices)
 
 
 def run_frame(
@@ -197,15 +208,9 @@ def run_frame(
     if isinstance(devices, _Devices):
         return _frame(devices, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
                       trace)
-    state = _Devices(devices, hyp_cfg.m)
-    # a frame changes only the devices that are active at its start
-    active = state.has_data.nonzero()[0]
-    try:
-        with np.errstate(over="ignore"):  # as in run_session
-            return _frame(state, schedule, hyp_cfg, sic, policy, seed, frame_index,
-                          frame_start, trace)
-    finally:
-        state.write_back(devices, active)
+    with _Devices.of(devices, hyp_cfg.m) as state:
+        return _frame(state, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
+                      trace)
 
 
 def _frame(
@@ -336,45 +341,39 @@ def run_session(
             f"activation_probability must be in [0, 1], got {activation_probability!r}"
         )
     # checked and converted once, before the first draw
-    state = _Devices(devices, hyp_cfg.m)
-    rng = np.random.default_rng(seed)
-    try:
-        frame_seeds = rng.integers(0, 2**63 - 1, size=frame_count)
-        # four numbers per frame, not the FrameResults, so a session's memory
-        # does not grow with its frame count beyond these rows; run_frame
-        # sets raw_throughput to payload_successes, so one row holds both
-        per_frame = np.empty((4, frame_count))
-    except (MemoryError, ValueError):
-        raise MemoryError(f"frame_count: cannot allocate {frame_count} frames") from None
-    start = 0.0
-    try:
-        # the back-off is unbounded, so a power may pass float range to +-inf,
-        # which simcore decodes; one error state per session, not per frame
-        with np.errstate(over="ignore"):
-            for k in range(frame_count):
-                # one uniform per idle device, in list order
-                idle = (~state.has_data).nonzero()[0]
-                state.has_data[idle] = rng.random(idle.size) < activation_probability
-                r = run_frame(
-                    state,
-                    schedule,
-                    hyp_cfg,
-                    sic,
-                    policy,
-                    seed=int(frame_seeds[k]),
-                    frame_index=k,
-                    frame_start=start,
-                    trace=trace,
-                )
-                per_frame[:, k] = (
-                    r.estimated_count,
-                    r.true_active_count,
-                    r.raw_throughput,
-                    r.effective_throughput,
-                )
-                start += schedule.total
-    finally:
-        state.write_back(devices, np.arange(len(devices)))
+    with _Devices.of(devices, hyp_cfg.m) as state:
+        rng = np.random.default_rng(seed)
+        try:
+            frame_seeds = rng.integers(0, 2**63 - 1, size=frame_count)
+            # four numbers per frame, not the FrameResults, so a session's memory
+            # does not grow with its frame count beyond these rows; run_frame
+            # sets raw_throughput to payload_successes, so one row holds both
+            per_frame = np.empty((4, frame_count))
+        except (MemoryError, ValueError):
+            raise MemoryError(f"frame_count: cannot allocate {frame_count} frames") from None
+        start = 0.0
+        for k in range(frame_count):
+            # one uniform per idle device, in list order
+            idle = (~state.has_data).nonzero()[0]
+            state.has_data[idle] = rng.random(idle.size) < activation_probability
+            r = run_frame(
+                state,
+                schedule,
+                hyp_cfg,
+                sic,
+                policy,
+                seed=int(frame_seeds[k]),
+                frame_index=k,
+                frame_start=start,
+                trace=trace,
+            )
+            per_frame[:, k] = (
+                r.estimated_count,
+                r.true_active_count,
+                r.raw_throughput,
+                r.effective_throughput,
+            )
+            start += schedule.total
 
     estimated, true_active, raws, effectives = per_frame
     errors = np.abs(estimated - true_active)

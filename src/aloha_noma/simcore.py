@@ -310,11 +310,6 @@ def _dbm_to_mw(dbm: Sequence[float]) -> list[float]:
     move borderline SINR decisions.  The pow overflows above about
     3082.5 dBm, a level the unbounded power back-off can reach.
     """
-    try:
-        # one handler for the whole list while no pow overflows
-        return [10.0 ** (x / 10.0) for x in dbm]
-    except OverflowError:
-        pass
     mw = []
     for x in dbm:
         try:
@@ -617,10 +612,10 @@ def run_simulation(config: SimConfig) -> SimStats:
             succeeded += success_times.size
             batches += batch_counts(success_times, span)
         if window is not None:
-            keep = int(np.searchsorted(ends, starts[upto], side="right")) if ideal else upto
-            starts, done = starts[keep:], upto - keep
-            if not ideal:
-                powers = powers[keep:]
+            # keep what ends after the first undecided start; a power-aware
+            # window ends at a cluster opening, so there this keeps from upto
+            keep = int(np.searchsorted(ends, starts[upto], side="right"))
+            starts, powers, done = starts[keep:], powers[keep:], upto - keep
 
     mean_concurrency = busy.total() / span
     if offered == 0:

@@ -380,6 +380,31 @@ def shuffled_clusters(draw):
     return [Transmission(i, s, 1.0, p) for i, (s, p) in zip(ids, rows)]
 
 
+@st.composite
+def long_clusters(draw):
+    """One to three clusters of 17 to 80 packets, 10 s apart, each packet
+    starting within 0.9 s of its cluster's first; a size may repeat, so the
+    per-size kernel gets several rows.  Powers sit on a 5 dB ladder from
+    -300 to 300 dBm, so chains often decode past the degree, with a few
+    packets moved to tied levels or to 3082.5 dBm, just below the mW
+    overflow.  Input order and device ids are shuffled."""
+    sizes = draw(st.lists(st.integers(17, 80), min_size=1, max_size=3))
+    sizes += draw(st.lists(st.sampled_from(sizes), max_size=1))
+    rows = []
+    for base, n in enumerate(sizes):
+        powers = [5.0 * q for q in draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n,
+                                                 unique=True))]
+        for j, level in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                st.sampled_from([0.0, 6.0, 3082.5])),
+                                      max_size=3)):
+            powers[j] = level
+        starts = draw(st.lists(st.sampled_from([0.0, 0.5, 0.9]), min_size=n, max_size=n))
+        rows += [(10.0 * base + s, p) for s, p in zip(starts, powers)]
+    rows = draw(st.permutations(rows))
+    ids = draw(st.permutations(range(len(rows))))
+    return [Transmission(i, s, 1.0, p) for i, (s, p) in zip(ids, rows)]
+
+
 class TestArrayKernel:
     @settings(deadline=None)
     @given(
@@ -390,6 +415,19 @@ class TestArrayKernel:
     )
     def test_matches_scalar_chain(self, txs, degree, threshold_db, noise_dbm):
         # bit identity with the scalar chain, so no decision margin is assumed
+        model = SicModel(degree, SicMode.POWER_AWARE, threshold_db, noise_dbm)
+        assert resolve_sic(txs, model) == scalar_power_chain(txs, model)
+
+    @settings(deadline=None)
+    @given(
+        long_clusters(),
+        st.integers(1, 32),
+        st.sampled_from([-3.0, 0.0, 6.0]),
+        st.sampled_from([-30.0, 3000.0]),
+    )
+    def test_matches_scalar_chain_on_long_clusters(self, txs, degree, threshold_db, noise_dbm):
+        # the per-size loop past 16 packets, with degrees above and below
+        # the cluster size
         model = SicModel(degree, SicMode.POWER_AWARE, threshold_db, noise_dbm)
         assert resolve_sic(txs, model) == scalar_power_chain(txs, model)
 
