@@ -176,7 +176,8 @@ class _Devices:
         """The checked state of ``devices``, written back to every device on
         exit, also when the body raises.  The back-off is unbounded, so a
         power may pass float range to +-inf, which simcore decodes; the body
-        runs with overflow warnings off, none set per frame."""
+        runs with overflow warnings off, so a session sets that once, not
+        per frame."""
         state = cls(devices, m)
         try:
             with np.errstate(over="ignore"):
@@ -202,8 +203,8 @@ def run_frame(
     hardware capability ``sic.degree``; the cap event is recorded in the
     broadcast trace record.  A zero estimate with active devices is a valid
     frame with zero successes, not an error.  ``run_session`` passes its
-    array state as ``devices``; a list is checked, converted and written
-    back.
+    array state as ``devices``; a list goes through the same adapter as in
+    ``run_session``, which writes every device back.
     """
     if isinstance(devices, _Devices):
         return _frame(devices, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
