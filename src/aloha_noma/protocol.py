@@ -163,13 +163,6 @@ class _Devices:
         self.has_data = np.array([d.has_data for d in devices], dtype=bool)
         self.last_ack = np.array([d.last_ack_received for d in devices], dtype=bool)
 
-    def write_back(self, devices: list[DeviceState]) -> None:
-        """Copy the state back to ``devices``."""
-        for d, power, has_data, ack in zip(
-            devices, self.power.tolist(), self.has_data.tolist(), self.last_ack.tolist()
-        ):
-            d.tx_power_dbm, d.has_data, d.last_ack_received = power, has_data, ack
-
     @classmethod
     @contextlib.contextmanager
     def of(cls, devices: list[DeviceState], m: int) -> Iterator[_Devices]:
@@ -183,7 +176,10 @@ class _Devices:
             with np.errstate(over="ignore"):
                 yield state
         finally:
-            state.write_back(devices)
+            for d, power, has_data, ack in zip(
+                devices, state.power.tolist(), state.has_data.tolist(), state.last_ack.tolist()
+            ):
+                d.tx_power_dbm, d.has_data, d.last_ack_received = power, has_data, ack
 
 
 def run_frame(
@@ -204,63 +200,45 @@ def run_frame(
     broadcast trace record.  A zero estimate with active devices is a valid
     frame with zero successes, not an error.  ``run_session`` passes its
     array state as ``devices``; a list goes through the same adapter as in
-    ``run_session``, which writes every device back.
+    ``run_session``, which writes every device back.  Numpy work is sized by
+    the devices and M, Python work by the detected devices.
     """
-    if isinstance(devices, _Devices):
-        return _frame(devices, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
-                      trace)
-    with _Devices.of(devices, hyp_cfg.m) as state:
-        return _frame(state, schedule, hyp_cfg, sic, policy, seed, frame_index, frame_start,
-                      trace)
+    arrays = isinstance(devices, _Devices)
+    with contextlib.nullcontext(devices) if arrays else _Devices.of(devices, hyp_cfg.m) as state:
+        rng = np.random.default_rng(seed)
+        estimation_seed = int(rng.integers(0, 2**63 - 1))
 
+        active = state.has_data.nonzero()[0]
+        rejected = _frame_rejections(active, hyp_cfg, estimation_seed)
+        # a false rejection past the last device counts in the estimate only
+        estimated = int(np.count_nonzero(rejected))
+        # only devices that transmitted a dummy carry a decodable ID, so a
+        # rejected hypothesis maps to a detected device only when it is active
+        hit = rejected[active]
+        detected = active[hit]
+        degree_used = min(estimated, sic.degree)
+        # every detected device draws from the same -N..N range, so one vector
+        # draw gives the values of power_backoff called in detected order
+        if detected.size:
+            steps = rng.integers(-estimated, estimated + 1, size=detected.size)
+            state.power[detected] += steps * policy.delta_db
+        if detected.size < active.size:
+            state.power[active[~hit]] += policy.slight_increase_db
 
-def _frame(
-    state: _Devices,
-    schedule: FrameSchedule,
-    hyp_cfg: HypothesisConfig,
-    sic: SicModel,
-    policy: BackoffPolicy,
-    seed: int,
-    frame_index: int,
-    frame_start: float,
-    trace: list[TraceEvent] | None,
-) -> FrameResult:
-    """``run_frame`` on array state: numpy work sized by the devices and M,
-    Python work by the detected devices."""
-    rng = np.random.default_rng(seed)
-    estimation_seed = int(rng.integers(0, 2**63 - 1))
+        # the payload burst is one cluster: every packet spans the same interval
+        ids = state.ids
+        detected_ids = [*map(ids.__getitem__, detected.tolist())]
+        if sic.mode is SicMode.IDEAL:
+            successes = detected if detected.size <= degree_used else detected[:0]
+        else:
+            dbm = state.power[detected].tolist()
+            successes = detected[_decode_cluster(dbm, detected_ids, degree_used, sic)]
 
-    active = state.has_data.nonzero()[0]
-    rejected = _frame_rejections(active, hyp_cfg, estimation_seed)
-    # a false rejection past the last device counts in the estimate only
-    estimated = int(np.count_nonzero(rejected))
-    # only devices that transmitted a dummy carry a decodable ID, so a
-    # rejected hypothesis maps to a detected device only when it is active
-    hit = rejected[active]
-    detected = active[hit]
-    degree_used = min(estimated, sic.degree)
-    # every detected device draws from the same -N..N range, so one vector
-    # draw gives the values of power_backoff called in detected order
-    if detected.size:
-        steps = rng.integers(-estimated, estimated + 1, size=detected.size)
-        state.power[detected] += steps * policy.delta_db
-    if detected.size < active.size:
-        state.power[active[~hit]] += policy.slight_increase_db
-
-    # the payload burst is one cluster: every packet spans the same interval
-    ids = state.ids
-    detected_ids = [*map(ids.__getitem__, detected.tolist())]
-    if sic.mode is SicMode.IDEAL:
-        successes = detected if detected.size <= degree_used else detected[:0]
-    else:
-        dbm = state.power[detected].tolist()
-        successes = detected[_decode_cluster(dbm, detected_ids, degree_used, sic)]
-
-    state.last_ack[active] = False
-    state.last_ack[successes] = True
-    state.has_data[successes] = False
-    acked_ids = frozenset(map(ids.__getitem__, successes.tolist()))
-    detected_set = frozenset(detected_ids)
+        state.last_ack[active] = False
+        state.last_ack[successes] = True
+        state.has_data[successes] = False
+        acked_ids = frozenset(map(ids.__getitem__, successes.tolist()))
+        detected_set = frozenset(detected_ids)
 
     if trace is not None:
         transmitters, acked_sorted = sorted(detected_set), sorted(acked_ids)

@@ -445,7 +445,8 @@ def _resolve(
     """Per-packet success flags for packets given as parallel arrays.
 
     The packets must be in (start, id) order: sorted by start, with tied
-    starts in id order, so that positions break ties.
+    starts in id order, so that positions break ties.  ``powers_dbm`` is read
+    only in power-aware mode.
     """
     if sic.mode is SicMode.IDEAL:
         return _overlap_counts(starts, ends) <= sic.degree
@@ -601,10 +602,9 @@ def run_simulation(config: SimConfig) -> SimStats:
             opens = np.flatnonzero(starts[1:] >= ends[:-1])
             upto = int(opens[-1]) + 1 if opens.size else 0
         if upto > done:
-            if ideal:
-                ok = _overlap_counts(starts, ends)[done:upto] <= config.sic.degree
-            else:
-                ok = _resolve(starts[:upto], ends[:upto], powers[:upto], config.sic)
+            # a power-aware carry starts at a cluster opening, so done is 0
+            # there, and the open last cluster is decided again once it closes
+            ok = _resolve(starts, ends, powers, config.sic)[done:upto]
             decided = starts[done:upto]
             first = int(np.searchsorted(decided, warmup))
             # each measured success adds its duration to the batch of its start

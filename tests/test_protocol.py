@@ -171,6 +171,23 @@ class TestRunFrame:
         assert result.payload_successes == 0
         assert result.true_active_count == 5
 
+    def test_list_frame_is_one_module_run_frame_call(self, monkeypatch):
+        # an observer that rebinds protocol.run_frame sees one call for a
+        # frame run on a DeviceState list, as it does for a session's frame
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_frame(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "run_frame", counting)
+        devs = devices(5, active=[1, 3])
+        result = protocol.run_frame(
+            devs, FrameSchedule(), strong_config(), SicModel(degree=4), BackoffPolicy(), seed=3
+        )
+        assert len(calls) == 1
+        assert result.acked_device_ids == frozenset({1, 3})
+
     def test_undetected_active_devices_ramp_power(self):
         weak = HypothesisConfig(m=10, alpha=1e-9, mean_signal=1e-6, noise_sigma=1.0)
         devs = devices(3)

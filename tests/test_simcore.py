@@ -883,6 +883,19 @@ class TestStreaming:
         for window in (128, 129, 1000):
             assert streamed(config, window) == one_shot_stats(config)
 
+    @pytest.mark.parametrize("sigma", [1e4, 1e308])
+    def test_windows_past_the_mw_overflow(self, sigma):
+        # over a third of the powers are infinite in mW, so most clusters
+        # that straddle a window edge are decided again one by one on dBm
+        config = sim_config(
+            g=1.5, horizon=3000.0, degree=4, seed=7, warmup=20.0,
+            sic_kw={"mode": SicMode.POWER_AWARE}, shadowing_sigma_db=sigma,
+        )
+        powers = np.array([t.rx_power_dbm for t in generate_traffic(config)])
+        assert np.isinf(simcore._mw(powers)).mean() > 0.3
+        for window in (128, 129, 1000):
+            assert streamed(config, window) == one_shot_stats(config)
+
     @pytest.mark.parametrize(
         "g, mode", [(150.0, SicMode.IDEAL), (6.0, SicMode.POWER_AWARE)], ids=["ideal", "power_aware"]
     )
