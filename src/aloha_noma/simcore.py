@@ -42,6 +42,8 @@ __all__ = [
 
 # packets per window of the arrival stream; _StreamSum needs at least 128
 _WINDOW = 2**15
+# packets whose starts a run keeps from counting to use, 4 MiB of float64
+_KEPT = 2**19
 # the largest expected packet count (rate x horizon) of one run
 _MAX_PACKETS = 2**32
 # the factor on the powers of a cluster whose sums pass float range: exact,
@@ -184,45 +186,41 @@ class SimStats:
             raise ValueError("succeeded cannot exceed offered")
 
 
-def _start_windows(
-    rng: np.random.Generator,
-    scale: float,
-    chunk: int,
-    horizon: float,
-    drawn: int = 0,
-    total: float = 0.0,
-) -> Iterator[np.ndarray]:
+def _start_windows(rng: np.random.Generator, rate: float, horizon: float) -> Iterator[np.ndarray]:
     """Start times below ``horizon``, in increasing order, in windows of at
     most _WINDOW.
 
-    The gaps are exponentials of mean ``scale``, drawn ``chunk`` at a time
-    until a chunk ends past the horizon; a chunk's starts are the running sum
-    of its gaps plus the last start of the chunk before.  Split draws, and a
-    running sum carried from window to window, give the bits of one draw and
-    one cumsum per chunk.  Once a start reaches the horizon, the rest of its
-    chunk is drawn and dropped, so that ``rng`` stands where the shadowing
-    normals begin.  ``drawn`` gaps of the first chunk, which sum to
-    ``total``, may have been drawn already.
+    The gaps are exponentials of mean 1 / ``rate``, drawn in chunks of the
+    expected count plus ten standard deviations and 16 until a chunk ends
+    past the horizon; a chunk's starts are the running sum of its gaps (inf
+    past float range) plus the last start of the chunk before.  Split draws,
+    and a running sum carried from window to window, give the bits of one
+    draw and one cumsum per chunk.  Once a start reaches the horizon, the
+    rest of its chunk is drawn and dropped, so that ``rng`` stands where the
+    shadowing normals begin.
     """
+    expected = rate * horizon
+    chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
     base = 0.0
     while True:
+        drawn, total = 0, 0.0
         while drawn < chunk:
-            starts = rng.exponential(scale, size=min(_WINDOW, chunk - drawn))
+            starts = rng.exponential(1.0 / rate, size=min(_WINDOW, chunk - drawn))
             drawn += starts.size
-            starts[0] += total
-            np.cumsum(starts, out=starts)
-            total = float(starts[-1])
-            starts += base
+            with np.errstate(over="ignore"):
+                starts[0] += total
+                np.cumsum(starts, out=starts)
+                total = float(starts[-1])
+                starts += base
             # the gaps are >= 0, so the starts before the horizon are a prefix
             below = int(np.searchsorted(starts, horizon))
             if below:
                 yield starts[:below]
             if below < starts.size:
                 for left in range(chunk - drawn, 0, -_WINDOW):
-                    rng.exponential(scale, size=min(_WINDOW, left))
+                    rng.exponential(1.0 / rate, size=min(_WINDOW, left))
                 return
         base += total
-        drawn, total = 0, 0.0
 
 
 def _traffic(config: SimConfig) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
@@ -232,30 +230,31 @@ def _traffic(config: SimConfig) -> tuple[int, Iterator[tuple[np.ndarray, np.ndar
     one base power.
 
     A first pass draws every gap to count the packets, and leaves the stream
-    where the shadowing normals begin; it keeps its first window and a copy
-    of the stream after it, from which the windows are drawn again.
+    where the shadowing normals begin.  A run of at most _KEPT packets keeps
+    its windows and drops each as it is handed over; a longer one draws them
+    again from a copy of the stream taken before the first pass.
     """
     rate = config.offered_load_g / config.packet_duration
     if rate == 0.0:
         return 0, iter(())
-    expected = rate * config.horizon
-    chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
     rng = np.random.default_rng(config.seed)
-    stream = _start_windows(rng, 1.0 / rate, chunk, config.horizon)
-    first = next(stream, None)
-    if first is None:
-        return 0, iter(())
     replay = copy.deepcopy(rng)
-    count = first.size + sum(starts.size for starts in stream)
-    later = iter(()) if count == first.size else _start_windows(
-        replay, 1.0 / rate, chunk, config.horizon, first.size, float(first[-1])
-    )
+    count, kept = 0, []
+    for starts in _start_windows(rng, rate, config.horizon):
+        count += starts.size
+        if count <= _KEPT:
+            kept.append(starts)
+    stream = map(kept.pop, [0] * len(kept))
+    if count > _KEPT:
+        stream = _start_windows(replay, rate, config.horizon)
 
     def windows() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for starts in chain([first], later):
+        for starts in stream:
             if config.shadowing_sigma_db > 0.0:
                 powers = rng.normal(0.0, config.shadowing_sigma_db, size=starts.size)
-                powers += config.base_power_dbm
+                # levels past float range are +-inf, which the decoder handles
+                with np.errstate(over="ignore"):
+                    powers += config.base_power_dbm
             else:
                 powers = np.broadcast_to(config.base_power_dbm, starts.shape)
             yield starts, powers
@@ -269,13 +268,8 @@ def generate_traffic(config: SimConfig) -> list[Transmission]:
     Deterministic for a given config (seed included): arrival gaps are
     drawn first, then shadowing offsets (only when enabled).
     """
-    _, windows = _traffic(config)
-    packets = chain.from_iterable(
-        zip(starts.tolist(), powers.tolist()) for starts, powers in windows
-    )
-    return [
-        Transmission(i, s, config.packet_duration, p) for i, (s, p) in enumerate(packets)
-    ]
+    packets = chain.from_iterable(zip(s.tolist(), p.tolist()) for s, p in _traffic(config)[1])
+    return [Transmission(i, s, config.packet_duration, p) for i, (s, p) in enumerate(packets)]
 
 
 def _overlap_counts(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -566,6 +560,9 @@ def run_simulation(config: SimConfig) -> SimStats:
         return SimStats(0, 0, 0.0, 0.0, 0.0, degenerate=True)
     duration, warmup, horizon = config.packet_duration, config.warmup, config.horizon
     span = horizon - warmup
+    # past 2**900 s the sums of durations are taken in units of 2**64 s: the
+    # same bits of each ratio, in float range; an end past that range is inf
+    unit = _SCALE if horizon > 2.0**900 else 1.0
     ideal = config.sic.mode is SicMode.IDEAL
     busy = _StreamSum(count, _WINDOW)
     offered = succeeded = 0
@@ -579,9 +576,10 @@ def run_simulation(config: SimConfig) -> SimStats:
             new_starts = window[0]
             # starts are sorted, so the measured packets are a suffix
             offered += new_starts.size - int(np.searchsorted(new_starts, warmup))
-            busy_time = np.clip(new_starts + duration, warmup, horizon)
+            with np.errstate(over="ignore"):
+                busy_time = np.clip(new_starts + duration, warmup, horizon)
             busy_time -= np.clip(new_starts, warmup, horizon)
-            busy.add(busy_time)
+            busy.add(busy_time * unit)
             fresh.append(window)
             # decide once the new packets outnumber the carried ones, so a
             # carry longer than a window is not scanned again every window
@@ -591,7 +589,8 @@ def run_simulation(config: SimConfig) -> SimStats:
         if not ideal:
             powers = np.concatenate((powers, *(p for _, p in fresh)))
         fresh = []
-        ends = starts + duration
+        with np.errstate(over="ignore"):
+            ends = starts + duration
         if window is None:
             upto = starts.size
         elif ideal:
@@ -617,6 +616,7 @@ def run_simulation(config: SimConfig) -> SimStats:
             keep = int(np.searchsorted(ends, starts[upto], side="right"))
             starts, powers, done = starts[keep:], powers[keep:], upto - keep
 
+    duration, span = duration * unit, span * unit
     mean_concurrency = busy.total() / span
     if offered == 0:
         return SimStats(0, 0, 0.0, mean_concurrency, 0.0, degenerate=True)

@@ -253,6 +253,26 @@ class TestSimulate:
         assert len(rows) == 1
         assert 0.0 < json.loads(stdout)["mean_throughput"] < 1.0
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"offered_load_g": 1.0, "horizon_s": 1e308, "packet_duration_s": 1e306},
+            {"offered_load_g": 1.0, "horizon_s": 1.79e308, "packet_duration_s": 1.7e306},
+            {"offered_load_g": 1.0, "horizon_s": 1.79e308, "packet_duration_s": 1.7e306,
+             "sic": {"degree": 2, "mode": "power_aware"}},
+        ],
+        ids=["1e308", "1.79e308-ideal", "1.79e308-power-aware"],
+    )
+    def test_horizon_near_float_max_runs(self, capsys, tmp_path, config):
+        # the gaps of a chunk sum past float range; numpy's overflow warning,
+        # an error here, once ended these runs
+        cfg = write_config(tmp_path, "max.json", config)
+        out = tmp_path / "max.csv"
+        code, _, err = run_cli(capsys, "simulate", cfg, "--out", str(out), "--no-timestamp")
+        assert code == 0, err
+        _, rows = read_csv(out)
+        assert all(math.isfinite(float(x)) for x in rows[0].split(","))
+
     def test_validation_error_names_field(self, capsys, tmp_path):
         bad = dict(SIM_CONFIG, offered_load_g=-2.0)
         cfg = write_config(tmp_path, "bad.json", bad)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -932,6 +933,49 @@ class TestStreaming:
             assert [t.start_time for t in txs] == starts.tolist()
             assert [t.rx_power_dbm for t in txs] == powers.tolist()
 
+    @pytest.mark.parametrize("mode", list(SicMode))
+    def test_kept_and_replayed_windows_give_the_one_shot_run(self, mode):
+        config = sim_config(
+            g=1.5, horizon=2000.0, degree=4, seed=7, warmup=20.0,
+            sic_kw={"mode": mode}, shadowing_sigma_db=6.0,
+        )
+        starts, powers = one_shot_traffic(config)
+        expected = one_shot_stats(config)
+        # a _KEPT of the packet count keeps every window of the first pass;
+        # one less, or 0, and the second pass draws them again
+        for kept, draws in ((starts.size, 1), (starts.size - 1, 2), (0, 2)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simcore, "_KEPT", kept)
+                patch.setattr(simcore, "_WINDOW", 128)
+                calls = []
+                draw = simcore._start_windows
+                patch.setattr(simcore, "_start_windows", lambda *a: calls.append(a) or draw(*a))
+                assert run_simulation(config) == expected
+                assert len(calls) == draws
+                txs = generate_traffic(config)
+            assert [t.start_time for t in txs] == starts.tolist()
+            assert [t.rx_power_dbm for t in txs] == powers.tolist()
+
+    @pytest.mark.parametrize("mode", list(SicMode))
+    def test_kept_and_replayed_windows_past_one_chunk(self, monkeypatch, mode):
+        # the chunks of test_traffic_past_one_chunk_is_the_one_shot_draw
+        config = sim_config(
+            g=0.5, horizon=1000.0, degree=2, seed=3, warmup=10.0,
+            sic_kw={"mode": mode}, shadowing_sigma_db=6.0,
+        )
+        monkeypatch.setattr(math, "sqrt", lambda x: -0.04 * x)
+        starts, powers = one_shot_traffic(config)
+        assert starts.size > int(0.6 * 500.0 + 16.0)
+        expected = one_shot_stats(config)
+        for kept in (starts.size, starts.size - 1, 0):
+            for window in (128, 4096):
+                monkeypatch.setattr(simcore, "_KEPT", kept)
+                monkeypatch.setattr(simcore, "_WINDOW", window)
+                assert run_simulation(config) == expected
+                txs = generate_traffic(config)
+                assert [t.start_time for t in txs] == starts.tolist()
+                assert [t.rx_power_dbm for t in txs] == powers.tolist()
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 1_100_000), st.integers(128, 8192), st.integers(0, 2**32 - 1))
     @example(1_048_583, 128, 1)
@@ -954,6 +998,19 @@ class TestStreaming:
                 total.add(part)
             assert total.total() == float(values.sum()), n
 
+
+def test_memory_past_the_kept_packets_is_bounded():
+    # a run of about 1.2e6 packets holds at most _KEPT counted starts, or a
+    # few windows of its second pass; all of its starts take 9.6 MB
+    config = sim_config(g=1.0, horizon=1.2e6, degree=2, seed=3)
+    tracemalloc.start()
+    try:
+        stats = run_simulation(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.offered > simcore._KEPT
+    assert peak < 8 * (simcore._KEPT + 16 * simcore._WINDOW)
 
 
 class TestDifferencesPastFloatRange:
@@ -983,3 +1040,23 @@ class TestDifferencesPastFloatRange:
         stats = run_simulation(config)
         assert 0 < stats.succeeded < stats.offered
         assert run_simulation(config) == stats
+
+    def test_base_power_and_shadowing_past_float_range_run(self):
+        # a base power of 1e308 dBm plus offsets of sigma 1e308 dB sums past
+        # float range, to +inf
+        config = sim_config(g=1.0, horizon=200.0, degree=2, base_power_dbm=1e308,
+                            shadowing_sigma_db=1e308, sic_kw={"mode": SicMode.POWER_AWARE})
+        assert math.inf in [t.rx_power_dbm for t in generate_traffic(config)]
+        stats = run_simulation(config)
+        assert 0 < stats.succeeded < stats.offered
+
+    @pytest.mark.parametrize("mode", list(SicMode))
+    def test_horizon_near_float_max_is_the_run_in_smaller_units(self, mode):
+        # at 1.79e308 s the gaps of a chunk, the ends and (at seed 2) the
+        # busy time sum past float range; 2**-600 times the duration and the
+        # horizon draws the same gaps times 2**-600, so every ratio is the same
+        big = SimConfig(1.0, 1.7e306, 1.79e308, SicModel(2, mode), seed=2)
+        stats = run_simulation(big)
+        assert stats.mean_concurrency * big.horizon == math.inf
+        small = replace(big, packet_duration=1.7e306 * 2.0**-600, horizon=1.79e308 * 2.0**-600)
+        assert run_simulation(small) == stats
