@@ -9,6 +9,7 @@ byte-reproducible for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -512,7 +513,10 @@ def cmd_estimator_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="aloha-noma",
         description="Random-access MAC throughput experiments with a SIC gateway",

@@ -14,7 +14,6 @@ packets and gives the bits of a run over the whole stream at once.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -49,6 +48,9 @@ _MAX_PACKETS = 2**32
 # the factor on the powers of a cluster whose sums pass float range: exact,
 # and it brings a sum of fewer than 2**64 finite powers back into range
 _SCALE = 2.0**-64
+# power-aware clusters up to this size are decided in one pass per size,
+# larger ones in one pass per band of this many sizes
+_BAND = 16
 
 
 class SicMode(str, Enum):
@@ -232,13 +234,12 @@ def _traffic(config: SimConfig) -> tuple[int, Iterator[tuple[np.ndarray, np.ndar
     A first pass draws every gap to count the packets, and leaves the stream
     where the shadowing normals begin.  A run of at most _KEPT packets keeps
     its windows and drops each as it is handed over; a longer one draws them
-    again from a copy of the stream taken before the first pass.
+    again from a second generator on the same seed.
     """
     rate = config.offered_load_g / config.packet_duration
     if rate == 0.0:
         return 0, iter(())
     rng = np.random.default_rng(config.seed)
-    replay = copy.deepcopy(rng)
     count, kept = 0, []
     for starts in _start_windows(rng, rate, config.horizon):
         count += starts.size
@@ -246,7 +247,7 @@ def _traffic(config: SimConfig) -> tuple[int, Iterator[tuple[np.ndarray, np.ndar
             kept.append(starts)
     stream = map(kept.pop, [0] * len(kept))
     if count > _KEPT:
-        stream = _start_windows(replay, rate, config.horizon)
+        stream = _start_windows(np.random.default_rng(config.seed), rate, config.horizon)
 
     def windows() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for starts in stream:
@@ -457,10 +458,16 @@ def _resolve(
     flags = np.zeros(starts.size, dtype=bool)
     # the clusters grouped by size, each group in start order: a stable
     # sort, a radix sort on sizes that fit 16 bits, and one slice per size
-    grouped = firsts[np.argsort(sizes.astype(np.min_scalar_type(sizes.max())), kind="stable")]
+    # up to _BAND
+    by_size = np.argsort(sizes.astype(np.min_scalar_type(sizes.max())), kind="stable")
+    grouped = firsts[by_size]
     per_size = np.bincount(sizes)
-    present = np.flatnonzero(per_size)
-    bounds = np.cumsum(per_size[present]).tolist()
+    present = np.flatnonzero(per_size[: _BAND + 1])
+    cumulative = np.cumsum(per_size)
+    bounds = cumulative[present].tolist()
+    # then one slice per band of _BAND sizes that holds a cluster: 17-32,
+    # 33-48, ..., the last one ending with the largest clusters
+    edges = sorted({*cumulative[_BAND::_BAND].tolist(), firsts.size})
     # the _decode_chains walk on all clusters of one size at once, a row each
     with np.errstate(over="ignore", invalid="ignore"):
         for n, lo, hi in zip(present.tolist(), [0, *bounds], bounds):
@@ -471,6 +478,23 @@ def _resolve(
             cap = min(n, sic.degree)
             ok = _chains_pass(powers_mw[rows], cap, theta, noise_mw)
             flags[rows[:, :cap]] = np.logical_and.accumulate(ok, axis=1)
+        # the same walk on all clusters of one band, each row padded after
+        # its packets with 0 mW: a pad sorts after every packet under the
+        # stable sort, one at 0 mW included, and adds exactly 0.0 to every
+        # sum and to the _SCALE rescale, so a row is its cluster's chain
+        # followed by pads; a pad column sets no flag
+        for lo, hi in zip(edges, edges[1:]):
+            firsts_b, sizes_b = grouped[lo:hi, None], sizes[by_size[lo:hi], None]
+            columns = np.arange(sizes_b[-1, 0])
+            real = columns < sizes_b
+            chains = np.zeros(real.shape)
+            chains[real] = powers_mw[(firsts_b + columns)[real]]
+            order = np.argsort(-chains, axis=1, kind="stable")
+            cap = min(columns.size, sic.degree)
+            ok = _chains_pass(chains[np.arange(hi - lo)[:, None], order], cap, theta, noise_mw)
+            order = order[:, :cap]
+            real = order < sizes_b
+            flags[(order + firsts_b)[real]] = np.logical_and.accumulate(ok, axis=1)[real]
     infinite = np.isinf(powers_mw)
     if noise_mw == math.inf or infinite.any():
         # decide the clusters that hold an infinite power, or every cluster

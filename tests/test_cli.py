@@ -605,6 +605,31 @@ class TestCommonBehaviour:
         assert stdout == ""
         assert not missing.exists()
 
+    def test_one_parser_serves_every_call_of_a_process(self, capsys, tmp_path):
+        # a failed parse and a --replications flag leave nothing on the shared
+        # parser: each call's CSV and stdout are those of a fresh process
+        assert cli.build_parser() is cli.build_parser()
+        cfg = write_config(tmp_path, "sim.json", dict(SIM_CONFIG, horizon_s=2000.0))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", cfg, "--out", str(tmp_path / "x.csv"), "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        runs = {"three.csv": ["--replications", "3"], "one.csv": []}
+        in_process = {}
+        for name, flags in runs.items():
+            out = tmp_path / name
+            code, stdout, _ = run_cli(capsys, "simulate", cfg, "--out", str(out), "--no-timestamp",
+                                      *flags)
+            assert code == 0
+            in_process[name] = out.read_bytes(), stdout
+            out.unlink()
+        for name, flags in runs.items():
+            out = tmp_path / name
+            fresh = run_python("-m", "aloha_noma", "simulate", cfg, "--out", str(out),
+                               "--no-timestamp", *flags)
+            assert (out.read_bytes(), fresh.stdout) == in_process[name]
+        assert json.loads(in_process["one.csv"][1])["replications"] == 1
+
     def test_out_path_that_is_a_directory_is_rejected(self, capsys, tmp_path):
         code, stdout, err = run_cli(capsys, "analytic-max", "3", "--out", str(tmp_path))
         assert code == 2

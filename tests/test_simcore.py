@@ -406,6 +406,32 @@ def long_clusters(draw):
     return [Transmission(i, s, 1.0, p) for i, (s, p) in zip(ids, rows)]
 
 
+@st.composite
+def silent_long_clusters(draw):
+    """``long_clusters`` with one to twelve packets moved to -3300 dBm, whose
+    mW underflows to 0, the level of the pads of a band of cluster sizes."""
+    txs = draw(long_clusters())
+    for j in draw(st.lists(st.integers(0, len(txs) - 1), min_size=1, max_size=12)):
+        txs[j] = replace(txs[j], rx_power_dbm=-3300.0)
+    return txs
+
+
+def spread_clusters(*levels):
+    """One cluster per list of powers, 10 s apart, its packets starting in
+    list order within 0.9 s; device ids in start order."""
+    txs = []
+    for base, powers in enumerate(levels):
+        txs += [Transmission(len(txs), 10.0 * base + 0.9 * j / len(powers), 1.0, p)
+                for j, p in enumerate(powers)]
+    return txs
+
+
+def ladder(top, size):
+    """``size`` powers falling from ``top`` dBm in 10 dB steps, each of which
+    decodes against the sum of those below it."""
+    return [top - 10.0 * j for j in range(size)]
+
+
 class TestArrayKernel:
     @settings(deadline=None)
     @given(
@@ -429,6 +455,28 @@ class TestArrayKernel:
     def test_matches_scalar_chain_on_long_clusters(self, txs, degree, threshold_db, noise_dbm):
         # the per-size loop past 16 packets, with degrees above and below
         # the cluster size
+        model = SicModel(degree, SicMode.POWER_AWARE, threshold_db, noise_dbm)
+        assert resolve_sic(txs, model) == scalar_power_chain(txs, model)
+
+    @settings(deadline=None)
+    @given(
+        silent_long_clusters(),
+        st.integers(1, 96),
+        st.sampled_from([-3.0, 0.0, 6.0]),
+        st.sampled_from([-3300.0, -4000.0]),
+    )
+    # the 20-packet row of a 30-wide band decodes to its last, 0 mW packets
+    @example(spread_clusters(ladder(100.0, 17) + [-3300.0] * 3, ladder(100.0, 30)),
+             20, 0.0, -3300.0)
+    # the 18-packet row decodes through its pads at degree 25, and the tied
+    # 17-packet cluster after it decodes nothing
+    @example(spread_clusters(ladder(100.0, 15) + [-3300.0] * 3, [50.0] + ladder(50.0, 16),
+                             ladder(100.0, 25)),
+             25, 0.0, -4000.0)
+    def test_silent_packets_rank_before_band_pads(self, txs, degree, threshold_db, noise_dbm):
+        # a 0 mW packet ties the 0 mW pads of its row and must stay ahead of
+        # them; under a 0 mW noise floor it decodes where its chain reaches
+        # it, and so would a pad, which must set no flag
         model = SicModel(degree, SicMode.POWER_AWARE, threshold_db, noise_dbm)
         assert resolve_sic(txs, model) == scalar_power_chain(txs, model)
 
