@@ -461,6 +461,9 @@ def cmd_estimator_bench(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config, ESTIMATOR_BENCH_KEYS)
     _single_replication(args, "estimator-bench")
     m_values, alphas, snrs = (_get(cfg, key, list) for key in ("m_values", "alphas", "snrs"))
+    for key, values in zip(("m_values", "alphas", "snrs"), (m_values, alphas, snrs)):
+        if not values:
+            raise ConfigError(f"{key}: must hold at least one entry")
     trials = _get(cfg, "trials", int, 20000)
     if trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {trials}")

@@ -48,9 +48,6 @@ _MAX_PACKETS = 2**32
 # the factor on the powers of a cluster whose sums pass float range: exact,
 # and it brings a sum of fewer than 2**64 finite powers back into range
 _SCALE = 2.0**-64
-# power-aware clusters up to this size are decided in one pass per size,
-# larger ones in one pass per band of this many sizes
-_BAND = 16
 
 
 class SicMode(str, Enum):
@@ -453,49 +450,42 @@ def _resolve(
     firsts = np.flatnonzero(opens)
     sizes = np.diff(firsts, append=starts.size)
 
-    powers_mw = _mw(powers_dbm)
+    # one pad slot past the packets: -inf dBm is exactly 0 mW
+    pad = starts.size
+    powers_mw = _mw(np.append(powers_dbm, -math.inf))
     noise_mw, theta = sic._levels_mw
-    flags = np.zeros(starts.size, dtype=bool)
-    # the clusters grouped by size, each group in start order: a stable
-    # sort, a radix sort on sizes that fit 16 bits, and one slice per size
-    # up to _BAND
+    flags = np.zeros(pad + 1, dtype=bool)
+    # the clusters grouped by size, each group in start order (a stable
+    # sort, a radix sort on sizes that fit 16 bits), then cut into the size
+    # bands 1, 2, 3-4, 5-8, ..., each with its shortest and longest size
     by_size = np.argsort(sizes.astype(np.min_scalar_type(sizes.max())), kind="stable")
     grouped = firsts[by_size]
-    per_size = np.bincount(sizes)
-    present = np.flatnonzero(per_size[: _BAND + 1])
-    cumulative = np.cumsum(per_size)
-    bounds = cumulative[present].tolist()
-    # then one slice per band of _BAND sizes that holds a cluster: 17-32,
-    # 33-48, ..., the last one ending with the largest clusters
-    edges = sorted({*cumulative[_BAND::_BAND].tolist(), firsts.size})
-    # the _decode_chains walk on all clusters of one size at once, a row each
+    cumulative = np.cumsum(np.bincount(sizes))
+    bands = cumulative[1 << np.arange((cumulative.size - 1).bit_length())]
+    edges = sorted({0, *bands.tolist(), firsts.size})
+    shortest = np.searchsorted(cumulative, edges[:-1], "right").tolist()
+    longest = np.searchsorted(cumulative, edges[1:]).tolist()
+    # the _decode_chains walk on all clusters of one band at once, a row
+    # each; a row's columns past its packets read the pad slot, which sorts
+    # after every packet under the stable sort, one at 0 mW included, and
+    # adds exactly 0.0 to every sum and to the _SCALE rescale, so a row is
+    # its cluster's chain followed by pads; the pad's flag is dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, lo, hi in zip(present.tolist(), [0, *bounds], bounds):
-            firsts_n = grouped[lo:hi, None]
+        for lo, hi, short, n in zip(edges, edges[1:], shortest, longest):
+            firsts_b = grouped[lo:hi, None]
+            rows = firsts_b + np.arange(n)
+            if short < n:
+                ends_b = firsts_b + sizes[by_size[lo:hi], None]
+                np.putmask(rows, rows >= ends_b, pad)
             # strongest first; the stable sort keeps ties in (start, id) order
-            rows = np.argsort(-powers_mw[firsts_n + np.arange(n)], axis=1, kind="stable")
-            rows += firsts_n
+            rows = np.argsort(-powers_mw[rows], axis=1, kind="stable")
+            rows += firsts_b
+            if short < n:
+                np.putmask(rows, rows >= ends_b, pad)
             cap = min(n, sic.degree)
             ok = _chains_pass(powers_mw[rows], cap, theta, noise_mw)
             flags[rows[:, :cap]] = np.logical_and.accumulate(ok, axis=1)
-        # the same walk on all clusters of one band, each row padded after
-        # its packets with 0 mW: a pad sorts after every packet under the
-        # stable sort, one at 0 mW included, and adds exactly 0.0 to every
-        # sum and to the _SCALE rescale, so a row is its cluster's chain
-        # followed by pads; a pad column sets no flag
-        for lo, hi in zip(edges, edges[1:]):
-            firsts_b, sizes_b = grouped[lo:hi, None], sizes[by_size[lo:hi], None]
-            columns = np.arange(sizes_b[-1, 0])
-            real = columns < sizes_b
-            chains = np.zeros(real.shape)
-            chains[real] = powers_mw[(firsts_b + columns)[real]]
-            order = np.argsort(-chains, axis=1, kind="stable")
-            cap = min(columns.size, sic.degree)
-            ok = _chains_pass(chains[np.arange(hi - lo)[:, None], order], cap, theta, noise_mw)
-            order = order[:, :cap]
-            real = order < sizes_b
-            flags[(order + firsts_b)[real]] = np.logical_and.accumulate(ok, axis=1)[real]
-    infinite = np.isinf(powers_mw)
+    infinite = np.isinf(powers_mw[:pad])
     if noise_mw == math.inf or infinite.any():
         # decide the clusters that hold an infinite power, or every cluster
         # under an infinite noise floor, again one by one; positions break
@@ -506,7 +496,7 @@ def _resolve(
             cluster = flags[a : a + n]
             cluster[:] = False
             cluster[_decode_cluster(dbm[a : a + n], range(n), sic.degree, sic)] = True
-    return flags
+    return flags[:pad]
 
 
 def resolve_sic(transmissions: list[Transmission], sic: SicModel) -> list[bool]:

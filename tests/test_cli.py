@@ -964,6 +964,7 @@ BIG_INT = "1" + "0" * 400
         (["estimator-bench"], dict(BENCH_CONFIG, noise_sigma=math.inf), "noise_sigma"),
         (["estimator-bench"], dict(BENCH_CONFIG, snrs=[1e308], noise_sigma=10), "snrs"),
         (["estimator-bench"], dict(BENCH_CONFIG, m_values=[True]), "m_values"),
+        (["estimator-bench"], dict(BENCH_CONFIG, alphas=[]), "alphas"),
         (["analytic-curve", "0", "--g-min", "0", "--g-max", "1", "--points", "3"], None, "degree"),
         (["simulate"], f'{{"offered_load_g": 0.5, "horizon_s": {BIG_INT}}}', "horizon_s"),
         (
@@ -1004,7 +1005,8 @@ BIG_INT = "1" + "0" * 400
     ids=[
         "simulate-flag-seed", "simulate-config-seed", "frame-session-seed",
         "estimator-bench-seed", "alpha-above-1", "alpha-string", "snr-string",
-        "noise-sigma-infinite", "mean-signal-overflow", "m-bool", "curve-degree-0",
+        "noise-sigma-infinite", "mean-signal-overflow", "m-bool", "alphas-empty",
+        "curve-degree-0",
         "horizon-past-float-range", "curve-grid-rounds-to-repeats", "frames-unallocatable",
         "points-unallocatable", "trials-unallocatable", "m-values-unallocatable",
         "horizon-unallocatable", "hypothesis-m-unallocatable", "frames-past-int64",

@@ -385,7 +385,7 @@ def shuffled_clusters(draw):
 def long_clusters(draw):
     """One to three clusters of 17 to 80 packets, 10 s apart, each packet
     starting within 0.9 s of its cluster's first; a size may repeat, so the
-    per-size kernel gets several rows.  Powers sit on a 5 dB ladder from
+    array kernel gets several rows of one size.  Powers sit on a 5 dB ladder from
     -300 to 300 dBm, so chains often decode past the degree, with a few
     packets moved to tied levels or to 3082.5 dBm, just below the mW
     overflow.  Input order and device ids are shuffled."""
@@ -452,9 +452,13 @@ class TestArrayKernel:
         st.sampled_from([-3.0, 0.0, 6.0]),
         st.sampled_from([-30.0, 3000.0]),
     )
+    # the shortest and longest row of each size band, 1 to 65 packets
+    @example(spread_clusters(*(ladder(100.0, n)
+                               for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65))),
+             32, 0.0, -30.0)
     def test_matches_scalar_chain_on_long_clusters(self, txs, degree, threshold_db, noise_dbm):
-        # the per-size loop past 16 packets, with degrees above and below
-        # the cluster size
+        # the size bands past 16 packets, with degrees above and below the
+        # cluster size
         model = SicModel(degree, SicMode.POWER_AWARE, threshold_db, noise_dbm)
         assert resolve_sic(txs, model) == scalar_power_chain(txs, model)
 
@@ -479,6 +483,26 @@ class TestArrayKernel:
         # it, and so would a pad, which must set no flag
         model = SicModel(degree, SicMode.POWER_AWARE, threshold_db, noise_dbm)
         assert resolve_sic(txs, model) == scalar_power_chain(txs, model)
+
+    @pytest.mark.parametrize("degree", [8, 32])
+    @pytest.mark.parametrize("at", [0, 1, 19])
+    def test_nan_power_fails_its_whole_cluster(self, degree, at):
+        # a nan power sorts after every packet of its row, and after the pads
+        # of a short row, and its nan sum fails every SINR test of its chain:
+        # a full-width 25-packet row, a 20-packet row beside it in the 17-32
+        # band and a pair decode nothing, and the clusters around them decide
+        # as the scalar chain does
+        levels = [ladder(100.0, n) for n in (25, 3, 20, 25, 2, 20, 4)]
+        hit = [0, 2, 4]
+        for k in hit:
+            levels[k][min(at, len(levels[k]) - 1)] = math.nan
+        txs = spread_clusters(*levels)
+        model = SicModel(degree, SicMode.POWER_AWARE, 0.0, -30.0)
+        flags = resolve_sic(txs, model)
+        clusters = [k for k, powers in enumerate(levels) for _ in powers]
+        assert not any(ok for ok, k in zip(flags, clusters) if k in hit)
+        rest = [j for j, k in enumerate(clusters) if k not in hit]
+        assert [flags[j] for j in rest] == scalar_power_chain([txs[j] for j in rest], model)
 
     @given(st.lists(st.floats(-3000.0, 3000.0), max_size=50))
     def test_conversion_is_float_pow(self, levels):
