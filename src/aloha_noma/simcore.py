@@ -440,15 +440,24 @@ def _resolve(
     starts in id order, so that positions break ties.  ``powers_dbm`` is read
     only in power-aware mode.
     """
-    if sic.mode is SicMode.IDEAL:
+    ideal = sic.mode is SicMode.IDEAL
+    if ideal and sic.degree > 1:
         return _overlap_counts(starts, ends) <= sic.degree
     # maximal transitively-overlapping clusters: a packet opens a new
-    # cluster iff it starts at or after every earlier end
-    opens = np.empty(starts.size, dtype=bool)
-    opens[0] = True
-    opens[1:] = starts[1:] >= np.maximum.accumulate(ends)[:-1]
-    firsts = np.flatnonzero(opens)
-    sizes = np.diff(firsts, append=starts.size)
+    # cluster iff it starts at or after every earlier end, and so does the
+    # slot past the packets; equal durations give ordered ends, whose
+    # running maximum is the ends themselves
+    reach = ends if (ends[1:] >= ends[:-1]).all() else np.maximum.accumulate(ends)
+    opens = np.ones(starts.size + 1, dtype=bool)
+    np.greater_equal(starts[1:], reach[:-1], out=opens[1:-1])
+    if ideal:
+        # a packet is alone iff no earlier packet ends after its start (it
+        # opens its cluster) and no later one starts before its end (the
+        # next packet opens the next cluster): the comparisons of
+        # _overlap_counts(starts, ends) <= 1
+        return opens[:-1] & opens[1:]
+    bounds = np.flatnonzero(opens)
+    firsts, sizes = bounds[:-1], np.diff(bounds)
 
     # one pad slot past the packets: -inf dBm is exactly 0 mW
     pad = starts.size
@@ -472,6 +481,12 @@ def _resolve(
     # its cluster's chain followed by pads; the pad's flag is dropped
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, short, n in zip(edges, edges[1:], shortest, longest):
+            if n == 1:
+                # a lone packet faces no interference: _chains_pass's test
+                # of a one-column row, as 0.0 + noise == noise
+                alone = grouped[lo:hi]
+                flags[alone] = powers_mw[alone] >= theta * noise_mw
+                continue
             firsts_b = grouped[lo:hi, None]
             rows = firsts_b + np.arange(n)
             if short < n:

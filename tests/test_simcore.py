@@ -21,6 +21,7 @@ from aloha_noma.simcore import (
     _decode_cluster,
     _mw,
     _overlap_counts,
+    _resolve,
     _StreamSum,
     generate_traffic,
     overlap_count,
@@ -432,6 +433,29 @@ def ladder(top, size):
     return [top - 10.0 * j for j in range(size)]
 
 
+@st.composite
+def sorted_intervals(draw):
+    """Up to 30 packets as ``_resolve`` takes them: starts sorted and often
+    tied, durations mixed, so the ends come unordered, and some ends at
+    +inf, given or past float range."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1e308]), st.floats(0.0, 5.0)),
+                st.one_of(
+                    st.sampled_from([0.5, 1.0, 2.0, 1e308, math.inf]), st.floats(0.01, 4.0)
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    # non-empty intervals only, as Transmission requires
+    rows = sorted((row for row in rows if sum(row) > row[0]), key=lambda row: row[0])
+    starts = np.array([s for s, _ in rows])
+    with np.errstate(over="ignore"):
+        return starts, starts + np.array([d for _, d in rows])
+
+
 class TestArrayKernel:
     @settings(deadline=None)
     @given(
@@ -503,6 +527,41 @@ class TestArrayKernel:
         assert not any(ok for ok, k in zip(flags, clusters) if k in hit)
         rest = [j for j, k in enumerate(clusters) if k not in hit]
         assert [flags[j] for j in rest] == scalar_power_chain([txs[j] for j in rest], model)
+
+    @given(sorted_intervals())
+    # equal durations, ends touching later starts
+    @example((np.array([0.0, 1.0, 1.0, 2.0, 2.5]), np.array([1.0, 2.0, 2.0, 3.0, 3.5])))
+    # a long packet reaches past a short one that ends before the next start
+    @example((np.array([0.0, 0.5, 2.0, 4.0]), np.array([3.0, 1.0, 2.5, math.inf])))
+    def test_lone_packets_are_those_overlap_counts_find_alone(self, intervals):
+        # ideal degree 1 decides from cluster openings; _overlap_counts is
+        # the independent reference
+        starts, ends = intervals
+        flags = _resolve(starts, ends, np.zeros(starts.size), IDEAL_1)
+        assert flags.tolist() == (_overlap_counts(starts, ends) <= 1).tolist()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [-math.inf, -3300.0, math.nan, -30.0, 0.0, 3082.5, 5000.0, math.inf]
+                ),
+                st.floats(-300.0, 300.0),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.integers(1, 8),
+        st.sampled_from([-3.0, 0.0, 6.0]),
+        st.sampled_from([-3300.0, -4000.0, -30.0, 4000.0]),
+    )
+    def test_lone_packets_match_scalar_chain(self, powers, degree, threshold_db, noise_dbm):
+        # packets 10 s apart, each alone in its cluster: powers of 0 mW, nan
+        # and past the mW overflow, under noise floors whose mW underflow to
+        # 0 (-3300 and -4000 dBm) or overflow (4000 dBm)
+        txs = [Transmission(i, 10.0 * i, 1.0, p) for i, p in enumerate(powers)]
+        model = SicModel(degree, SicMode.POWER_AWARE, threshold_db, noise_dbm)
+        assert resolve_sic(txs, model) == scalar_power_chain(txs, model)
 
     @given(st.lists(st.floats(-3000.0, 3000.0), max_size=50))
     def test_conversion_is_float_pow(self, levels):
@@ -815,6 +874,35 @@ class TestRunSimulation:
             **extra,
         )
         assert run_simulation(cfg) == expected
+
+    # equal powers 30 dB above the floor and no shadowing: the strongest
+    # packet of a cluster of two or more faces an equal power and fails the
+    # 6 dB threshold, so a power-aware run decodes only the lone packets, at
+    # any degree, which are the packets ideal degree 1 decodes
+    @pytest.mark.parametrize("g, degree", [(0.3, 1), (0.5, 4), (1.0, 8), (3.0, 32)])
+    def test_equal_powers_above_threshold_give_pure_aloha(self, g, degree):
+        for seed in range(4):
+            ideal = run_simulation(sim_config(g=g, horizon=5e3, seed=seed, warmup=10.0))
+            aware = sim_config(g=g, horizon=5e3, degree=degree, seed=seed, warmup=10.0,
+                               sic_kw={"mode": SicMode.POWER_AWARE})
+            assert run_simulation(aware) == ideal
+
+    # at a threshold of -1000 dB over a -1000 dBm floor every chain runs to
+    # its degree cap, so a cluster of K packets decodes min(K, N); K is
+    # geometric, P(K = k) = e^-G (1 - e^-G)^(k - 1), since a cluster goes on
+    # iff the next gap is shorter than one duration, and
+    # S = G E[min(K, N)] / E[K] = G (1 - (1 - e^-G)^N)
+    @pytest.mark.parametrize(
+        "g, degree, horizon",
+        [(0.5, 1, 2e5), (1.0, 2, 2e5), (2.0, 8, 5e4), (3.0, 5, 5e4), (4.0, 16, 5e4)],
+    )
+    def test_threshold_near_zero_gives_cluster_capped_throughput(self, g, degree, horizon):
+        sic = SicModel(degree, SicMode.POWER_AWARE, capture_threshold_db=-1000.0,
+                       noise_floor_dbm=-1000.0)
+        stats = run_simulation(SimConfig(g, 1.0, horizon, sic, seed=3, warmup=10.0))
+        expected = g * (1.0 - (1.0 - math.exp(-g)) ** degree)
+        assert stats.confidence_half_width > 0.0
+        assert abs(stats.normalized_throughput - expected) <= 3.0 * stats.confidence_half_width
 
     @pytest.mark.parametrize(
         "degree, g", [(1, 0.5), (5, analytic.max_throughput(5).g_star)], ids=["pure", "n5_at_g_star"]
