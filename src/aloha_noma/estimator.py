@@ -13,6 +13,7 @@ import functools
 import math
 import operator
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -240,6 +241,8 @@ def _p_value_rejects(p_values, config: HypothesisConfig):
 _WINDOW_CHECK = 4096
 # how far from that point the rule may still flip back and forth
 _WINDOW_REACH = 64
+# held while a level's window is looked up or bounded
+_LEVEL_LOCK = threading.Lock()
 
 
 def _statistic_window(config: HypothesisConfig) -> tuple[float, float]:
@@ -249,11 +252,30 @@ def _statistic_window(config: HypothesisConfig) -> tuple[float, float]:
     statistics in between need the rule itself.  The window is empty
     (lower == upper) unless scipy's erfc is not monotone in its last
     bit where the rule turns, as at some levels alpha / M above about 0.16
-    (statistics below 1).  Bisection gives one point where the rule turns
-    true, and every flip among the ``_WINDOW_CHECK`` floats on each side of
-    it must lie within ``_WINDOW_REACH`` floats of it.
+    (statistics below 1).  The window depends on the config only through
+    its level alpha / M, so it is bounded once per level (``_level_window``).
     """
-    turn = _first_true(lambda x: _p_value_rejects(_upper_tail(x), config))
+    with _LEVEL_LOCK:  # two threads at one level bound it once
+        window = _level_window(bonferroni_threshold(config.alpha, config.m), special.erfc)
+    if window is None:
+        raise RuntimeError(
+            "p-value rule flips too far from its threshold for "
+            f"alpha={config.alpha!r}, M={config.m}, noise_sigma={config.noise_sigma!r}"
+        )
+    return window
+
+
+@functools.lru_cache(maxsize=256)
+def _level_window(level: float, erfc) -> tuple[float, float] | None:
+    """``_statistic_window`` of the rule ``0.5 * erfc(x) <= level``, which is
+    ``_p_value_rejects(_upper_tail(x), config)`` for every config at this
+    level, or None where the rule flips too far from where it turns.  The
+    erfc is part of the key, so that a swapped ``special.erfc`` gets its own
+    bound.  Bisection gives one point where the rule turns true, and every
+    flip among the ``_WINDOW_CHECK`` floats on each side of it must lie
+    within ``_WINDOW_REACH`` floats of it.
+    """
+    turn = _first_true(lambda x: 0.5 * erfc(x) <= level)
     start = turn - _WINDOW_CHECK
     # the floats of keys start.. in one array that is reused in place: a
     # float's bits are its key's magnitude, negated for a negative key
@@ -261,20 +283,19 @@ def _statistic_window(config: HypothesisConfig) -> tuple[float, float]:
     floats = np.abs(keys, out=keys).view(np.float64)
     negative = floats[: max(0, -start)]
     np.negative(negative, out=negative)
-    flags = _p_value_rejects(_upper_tail(floats), config)
+    flags = 0.5 * erfc(floats) <= level
     first_hit = int(np.argmax(flags))
     last_miss = flags.size - 1 - int(np.argmax(~flags[::-1]))
     if first_hit < _WINDOW_CHECK - _WINDOW_REACH or last_miss >= _WINDOW_CHECK + _WINDOW_REACH:
-        raise RuntimeError(
-            "p-value rule flips too far from its threshold for "
-            f"alpha={config.alpha!r}, M={config.m}, noise_sigma={config.noise_sigma!r}"
-        )
+        return None
     return _key_float(start + first_hit), _key_float(start + last_miss + 1)
 
 
+@functools.lru_cache(maxsize=1024)
 def _first_draw(x: float, mean: float, sigma: float) -> float:
     """Smallest standard-normal draw whose scaled statistic reaches x; the
-    statistic is monotone in the draw, since IEEE +, * and / are."""
+    statistic is monotone in the draw, since IEEE +, * and / are.  Bisected
+    once per (x, mean, sigma); 0.0 and -0.0 share a key and a draw."""
     return _key_float(_first_true(lambda z: _scaled(z, mean, sigma) >= x))
 
 
@@ -365,8 +386,10 @@ def monte_carlo_estimation(
 
     The stream is drawn in blocks of about ``_BLOCK_DRAWS`` normals; the
     generator's normals do not depend on how the stream is split and every
-    sum is an exact integer, so the result has the bits of one
-    ``trials x M`` draw while memory holds one block plus a count per trial.
+    sum is an exact integer (the float64 product of a block's flags with
+    ones and the active mask sums at most M ones per trial), so the result
+    has the bits of one ``trials x M`` draw while memory holds one block,
+    its float64 copy in the product and a count per trial.
     """
     if operator.index(trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -374,17 +397,19 @@ def monte_carlo_estimation(
     true_count = int(mask.sum())
     means = np.where(mask, config.signal_means(), 0.0)
     lower, upper = _draw_window(means, config)
+    # one product per block gives each trial's rejections and detections
+    weights = np.stack((np.ones(config.m), mask), axis=1)
     counts = np.empty(trials, dtype=np.intp)
     rows = max(1, _BLOCK_DRAWS // config.m)
     rng = np.random.default_rng(seed)
-    null = ~mask
     false_any = detections = 0
     for start in range(0, trials, rows):
         block = counts[start:start + rows]
         rejected = _decide(rng.standard_normal((block.size, config.m)), means, lower, upper, config)
-        block[:] = np.count_nonzero(rejected, axis=1)
-        false_any += int(np.count_nonzero(rejected[:, null].any(axis=1)))
-        detections += int(np.count_nonzero(rejected[:, mask]))
+        total, hits = (rejected @ weights).T
+        block[:] = total
+        false_any += int(np.count_nonzero(total != hits))
+        detections += int(hits.sum())
     mean_estimate = float(counts.mean())
     counts -= true_count  # in place: no second trials-sized array
     return MonteCarloEstimation(

@@ -7,11 +7,12 @@ import sys
 import time
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from aloha_noma import analytic, cli, protocol, simcore
+from aloha_noma import analytic, cli, estimator, protocol, simcore
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -550,6 +551,30 @@ class TestEstimatorBench:
                 assert float(power) >= 0.999
         summary = json.loads(stdout)
         assert summary["rows"] == 6
+
+    def test_bounds_one_window_per_level(self, capsys, tmp_path, monkeypatch):
+        # the shipped sweep runs 36 Monte Carlo calls at 5 levels alpha / M:
+        # of its 3 M x 2 alpha, 0.01 / 10 and 0.05 / 50 are one float. Each
+        # level's window is bounded once, by one erfc over the floats around
+        # its threshold. A fresh erfc object keys fresh windows, so none is
+        # left over from an earlier test
+        shipped = json.loads((Path(__file__).parents[1] / "configs" / "estimator_bench.json").read_text())
+        checked = []
+
+        def counting_erfc(x):
+            if np.size(x) == 2 * estimator._WINDOW_CHECK + 1:
+                checked.append(np.size(x))
+            return estimator_special.erfc(x)
+
+        estimator_special = estimator.special
+        monkeypatch.setattr(estimator, "special", SimpleNamespace(erfc=counting_erfc))
+        code, _, _ = run_cli(
+            capsys, "estimator-bench", write_config(tmp_path, "bench.json", shipped),
+            "--out", str(tmp_path / "bench.csv"), "--no-timestamp",
+        )
+        assert code == 0
+        levels = {alpha / m for m in shipped["m_values"] for alpha in shipped["alphas"]}
+        assert len(checked) == len(levels) == 5
 
     def test_rejects_bad_snr(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "bench.json", dict(BENCH_CONFIG, snrs=[-1.0]))

@@ -390,6 +390,9 @@ class TestMonteCarloBlocks:
             # a level where scipy's erfc is not monotone: the draw window is not empty
             (config(m=3, alpha=0.4191443221358243, mean_signal=1.0, noise_sigma=2.0), [1]),
             (config(m=7), []),
+            # every device active: no null column, so a false rejection
+            # can only show as a trial whose count exceeds its detections
+            (config(m=7), list(range(7))),
         ],
     )
     def test_blocks_match_one_draw(self, cfg, active):
