@@ -390,8 +390,8 @@ class TestMonteCarloBlocks:
             # a level where scipy's erfc is not monotone: the draw window is not empty
             (config(m=3, alpha=0.4191443221358243, mean_signal=1.0, noise_sigma=2.0), [1]),
             (config(m=7), []),
-            # every device active: no null column, so a false rejection
-            # can only show as a trial whose count exceeds its detections
+            # every device active: with no null column the FWER comes from
+            # the trials whose rejection count differs from their detections
             (config(m=7), list(range(7))),
         ],
     )
