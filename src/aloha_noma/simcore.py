@@ -431,25 +431,62 @@ def _chains_pass(chains: np.ndarray, cap: int, theta: float, noise_mw: float) ->
     return ok
 
 
+def _openings(starts: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The cluster openings of sorted packets, one flag per packet and one
+    for the slot past them: a packet opens a new maximal
+    transitively-overlapping cluster iff it starts at or after ``reach``,
+    the running maximum of the ends, of the packet before it."""
+    opens = np.ones(starts.size + 1, dtype=bool)
+    np.greater_equal(starts[1:], reach[:-1], out=opens[1:-1])
+    return opens
+
+
 def _resolve(
-    starts: np.ndarray, ends: np.ndarray, powers_dbm: np.ndarray, sic: SicModel
+    starts: np.ndarray,
+    ends: np.ndarray,
+    powers_dbm: np.ndarray,
+    sic: SicModel,
+    opens: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-packet success flags for packets given as parallel arrays.
 
     The packets must be in (start, id) order: sorted by start, with tied
-    starts in id order, so that positions break ties.  ``powers_dbm`` is read
-    only in power-aware mode.
+    starts in id order, so that positions break ties, and each must end
+    after it starts.  ``powers_dbm`` is read only in power-aware mode.
+    ``opens``, the ``_openings`` of the packets, is worked out here when not
+    given; ideal SIC above degree 1 does not read it.
     """
     ideal = sic.mode is SicMode.IDEAL
-    if ideal and sic.degree > 1:
-        return _overlap_counts(starts, ends) <= sic.degree
-    # maximal transitively-overlapping clusters: a packet opens a new
-    # cluster iff it starts at or after every earlier end, and so does the
-    # slot past the packets; equal durations give ordered ends, whose
-    # running maximum is the ends themselves
-    reach = ends if (ends[1:] >= ends[:-1]).all() else np.maximum.accumulate(ends)
-    opens = np.ones(starts.size + 1, dtype=bool)
-    np.greater_equal(starts[1:], reach[:-1], out=opens[1:-1])
+    by_position = ideal and sic.degree > 1
+    if by_position or opens is None:
+        # equal durations give ordered ends, which are their own sort and
+        # running maximum
+        in_order = (ends[1:] >= ends[:-1]).all()
+    if by_position:
+        # the overlap count of packet i is #(s_j < e_i) - done_i, with
+        # done_i = #(e_j <= s_i); it is at most ``degree`` iff no more than
+        # done_i + degree starts lie before e_i, that is iff the start at
+        # position done_i + degree, if any, is at or after e_i
+        n = starts.size
+        done_ends = ends if in_order else np.sort(ends)
+        if n and starts[0] > 0.0:
+            # every start and end is then a positive float (+inf included),
+            # and those order as their int64 bit patterns, which search faster
+            done = np.searchsorted(
+                done_ends.view(np.int64), starts.view(np.int64), side="right"
+            )
+        else:
+            done = np.searchsorted(done_ends, starts, side="right")
+        # a degree past the packet count decides as the count does; done is
+        # nondecreasing, so the packets with no start at done_i + degree,
+        # which pass, are a suffix
+        done += min(sic.degree, n)
+        cut = int(np.searchsorted(done, n))
+        ok = np.ones(n, dtype=bool)
+        np.greater_equal(starts[done[:cut]], ends[:cut], out=ok[:cut])
+        return ok
+    if opens is None:
+        opens = _openings(starts, ends if in_order else np.maximum.accumulate(ends))
     if ideal:
         # a packet is alone iff no earlier packet ends after its start (it
         # opens its cluster) and no later one starts before its end (the
@@ -604,11 +641,24 @@ def run_simulation(config: SimConfig) -> SimStats:
         if window is not None:
             new_starts = window[0]
             # starts are sorted, so the measured packets are a suffix
-            offered += new_starts.size - int(np.searchsorted(new_starts, warmup))
+            early = int(np.searchsorted(new_starts, warmup))
+            offered += new_starts.size - early
             with np.errstate(over="ignore"):
-                busy_time = np.clip(new_starts + duration, warmup, horizon)
-            busy_time -= np.clip(new_starts, warmup, horizon)
-            busy.add(busy_time * unit)
+                busy_time = new_starts + duration
+            late = int(np.searchsorted(busy_time, horizon, side="right"))
+            busy_time -= new_starts
+            # each packet's time inside [warmup, horizon); clipping moves only
+            # those that start before the warmup or end past the horizon
+            for lo, hi in (0, early), (late, new_starts.size):
+                if lo < hi:
+                    edge = new_starts[lo:hi]
+                    with np.errstate(over="ignore"):
+                        busy_time[lo:hi] = np.clip(edge + duration, warmup, horizon)
+                    busy_time[lo:hi] -= np.clip(edge, warmup, horizon)
+            busy_time *= unit
+            busy.add(busy_time)
+            # freed before the decision, whose arrays would add to the peak
+            del busy_time
             fresh.append(window)
             # decide once the new packets outnumber the carried ones, so a
             # carry longer than a window is not scanned again every window
@@ -620,19 +670,20 @@ def run_simulation(config: SimConfig) -> SimStats:
         fresh = []
         with np.errstate(over="ignore"):
             ends = starts + duration
+        # equal durations give ordered ends, their own running maximum
+        opens = None if ideal else _openings(starts, ends)
         if window is None:
             upto = starts.size
         elif ideal:
             # no later packet reaches a packet that ends by the last start
             upto = int(np.searchsorted(ends, starts[-1], side="right"))
         else:
-            # the clusters before the last one are closed
-            opens = np.flatnonzero(starts[1:] >= ends[:-1])
-            upto = int(opens[-1]) + 1 if opens.size else 0
+            # the clusters before the last one are closed; opens[0] is set
+            upto = starts.size - 1 - int(np.argmax(opens[-2::-1]))
         if upto > done:
             # a power-aware carry starts at a cluster opening, so done is 0
             # there, and the open last cluster is decided again once it closes
-            ok = _resolve(starts, ends, powers, config.sic)[done:upto]
+            ok = _resolve(starts, ends, powers, config.sic, opens)[done:upto]
             decided = starts[done:upto]
             first = int(np.searchsorted(decided, warmup))
             # each measured success adds its duration to the batch of its start

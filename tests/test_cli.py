@@ -274,6 +274,22 @@ class TestSimulate:
         _, rows = read_csv(out)
         assert all(math.isfinite(float(x)) for x in rows[0].split(","))
 
+    def test_degree_past_int64_runs(self, capsys, tmp_path):
+        # a degree above every overlap count decodes every packet; 10**20
+        # does not fit int64, so it must be clamped before numpy adds it
+        rows = []
+        for degree in (10**20, 10**6):
+            cfg = write_config(tmp_path, f"deg{degree}.json",
+                               dict(SIM_CONFIG, offered_load_g=5.0, horizon_s=2000.0,
+                                    sic={"degree": degree, "mode": "ideal"}))
+            out = tmp_path / f"deg{degree}.csv"
+            code, _, err = run_cli(capsys, "simulate", cfg, "--out", str(out), "--no-timestamp")
+            assert code == 0, err
+            rows.append(read_csv(out)[1])
+        assert rows[0] == rows[1]
+        _, offered, succeeded, *_ = rows[0][0].split(",")
+        assert offered == succeeded
+
     def test_validation_error_names_field(self, capsys, tmp_path):
         bad = dict(SIM_CONFIG, offered_load_g=-2.0)
         cfg = write_config(tmp_path, "bad.json", bad)

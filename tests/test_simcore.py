@@ -214,9 +214,27 @@ class TestResolveSicIdeal:
         assert resolve_sic(txs, IDEAL_1) == [True, True]
 
     @given(mixed_durations(), st.integers(1, 8))
+    # starts that are not all positive floats do not order as their int64
+    # bits: a negative first start, and -0.0 tied with 0.0 in either order
+    @example([Transmission(0, -1.0, 1.0), Transmission(1, -2.0, 1.0),
+              Transmission(2, -1.5, 2.0)], 2)
+    @example([Transmission(0, -0.0, 1.0), Transmission(1, 0.0, 0.5),
+              Transmission(2, 0.5, 1.0), Transmission(3, 1.25, 1.0)], 2)
+    @example([Transmission(1, -0.0, 1.0), Transmission(0, 0.0, 0.5),
+              Transmission(2, 0.5, 1.0), Transmission(3, 1.25, 1.0)], 2)
+    # an infinite end sorts after every finite one, as floats and as bits
+    @example([Transmission(0, 0.5, math.inf), Transmission(1, 1.0, 1.0),
+              Transmission(2, 3.0, 1.0), Transmission(3, 3.5, 2.0)], 3)
     def test_matches_brute_force_on_shuffled_mixed_durations(self, txs, degree):
         expected = [c <= degree for c in brute_force_overlaps(txs)]
         assert resolve_sic(txs, SicModel(degree=degree)) == expected
+
+    @pytest.mark.parametrize("degree", [2**63 - 1, 10**20])
+    @given(txs=mixed_durations())
+    def test_degree_past_the_packet_count_decides_as_the_count(self, txs, degree):
+        # no packet overlaps more packets than there are, so every one passes
+        flags = resolve_sic(txs, SicModel(degree=degree))
+        assert flags == resolve_sic(txs, SicModel(degree=len(txs))) == [True] * len(txs)
 
 
 class TestResolveSicPowerAware:
