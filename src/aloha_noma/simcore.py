@@ -446,31 +446,27 @@ def _resolve(
     ends: np.ndarray,
     powers_dbm: np.ndarray,
     sic: SicModel,
-    opens: np.ndarray | None = None,
+    opens: np.ndarray | None,
 ) -> np.ndarray:
     """Per-packet success flags for packets given as parallel arrays.
 
     The packets must be in (start, id) order: sorted by start, with tied
     starts in id order, so that positions break ties, and each must end
-    after it starts.  ``powers_dbm`` is read only in power-aware mode.
-    ``opens``, the ``_openings`` of the packets, is worked out here when not
-    given; ideal SIC above degree 1 does not read it.
+    after it starts.  ``powers_dbm`` is read only in power-aware mode, and
+    ``opens``, the ``_openings`` of the packets, only outside ideal SIC above
+    degree 1, which takes None.
     """
     ideal = sic.mode is SicMode.IDEAL
-    by_position = ideal and sic.degree > 1
-    if by_position or opens is None:
-        # equal durations give ordered ends, which are their own sort and
-        # running maximum
-        in_order = (ends[1:] >= ends[:-1]).all()
-    if by_position:
+    if ideal and sic.degree > 1:
         # the overlap count of packet i is #(s_j < e_i) - done_i, with
         # done_i = #(e_j <= s_i); it is at most ``degree`` iff no more than
         # done_i + degree starts lie before e_i, that is iff the start at
         # position done_i + degree, if any, is at or after e_i
         n = starts.size
-        done_ends = ends if in_order else np.sort(ends)
-        if n and starts[0] > 0.0:
-            # every start and end is then a positive float (+inf included),
+        # equal durations give ordered ends, which are their own sort
+        done_ends = ends if (ends[1:] >= ends[:-1]).all() else np.sort(ends)
+        if n and starts.dtype == ends.dtype == np.float64 and starts[0] > 0.0:
+            # every start and end is then a positive float64 (+inf included),
             # and those order as their int64 bit patterns, which search faster
             done = np.searchsorted(
                 done_ends.view(np.int64), starts.view(np.int64), side="right"
@@ -485,8 +481,6 @@ def _resolve(
         ok = np.ones(n, dtype=bool)
         np.greater_equal(starts[done[:cut]], ends[:cut], out=ok[:cut])
         return ok
-    if opens is None:
-        opens = _openings(starts, ends if in_order else np.maximum.accumulate(ends))
     if ideal:
         # a packet is alone iff no earlier packet ends after its start (it
         # opens its cluster) and no later one starts before its end (the
@@ -557,10 +551,14 @@ def resolve_sic(transmissions: list[Transmission], sic: SicModel) -> list[bool]:
         return []
     starts = np.array([t.start_time for t in transmissions])
     order = np.lexsort((np.array([t.device_id for t in transmissions]), starts))
-    ends = np.array([t.end_time for t in transmissions])
+    starts = starts[order]
+    ends = np.array([t.end_time for t in transmissions])[order]
     powers_dbm = np.array([t.rx_power_dbm for t in transmissions])
+    # mixed durations leave the ends unordered: a packet opens a cluster
+    # against the latest end before it
+    opens = _openings(starts, np.maximum.accumulate(ends))
     flags = np.empty(order.size, dtype=bool)
-    flags[order] = _resolve(starts[order], ends[order], powers_dbm[order], sic)
+    flags[order] = _resolve(starts, ends, powers_dbm[order], sic, opens)
     return flags.tolist()
 
 
@@ -630,6 +628,8 @@ def run_simulation(config: SimConfig) -> SimStats:
     # same bits of each ratio, in float range; an end past that range is inf
     unit = _SCALE if horizon > 2.0**900 else 1.0
     ideal = config.sic.mode is SicMode.IDEAL
+    # ideal SIC above degree 1 decides by position, without cluster openings
+    clustered = not ideal or config.sic.degree == 1
     busy = _StreamSum(count, _WINDOW)
     offered = succeeded = 0
     batches = np.zeros(BATCH_COUNT, dtype=np.int64)
@@ -645,16 +645,14 @@ def run_simulation(config: SimConfig) -> SimStats:
             offered += new_starts.size - early
             with np.errstate(over="ignore"):
                 busy_time = new_starts + duration
-            late = int(np.searchsorted(busy_time, horizon, side="right"))
-            busy_time -= new_starts
-            # each packet's time inside [warmup, horizon); clipping moves only
-            # those that start before the warmup or end past the horizon
-            for lo, hi in (0, early), (late, new_starts.size):
-                if lo < hi:
-                    edge = new_starts[lo:hi]
-                    with np.errstate(over="ignore"):
-                        busy_time[lo:hi] = np.clip(edge + duration, warmup, horizon)
-                    busy_time[lo:hi] -= np.clip(edge, warmup, horizon)
+                late = int(np.searchsorted(busy_time, horizon, side="right"))
+                busy_time -= new_starts
+                # each packet's time inside [warmup, horizon); clipping moves
+                # only those that start before the warmup or end past the horizon
+                for edge in slice(0, early), slice(late, None):
+                    at = new_starts[edge]
+                    busy_time[edge] = np.clip(at + duration, warmup, horizon)
+                    busy_time[edge] -= np.clip(at, warmup, horizon)
             busy_time *= unit
             busy.add(busy_time)
             # freed before the decision, whose arrays would add to the peak
@@ -671,7 +669,7 @@ def run_simulation(config: SimConfig) -> SimStats:
         with np.errstate(over="ignore"):
             ends = starts + duration
         # equal durations give ordered ends, their own running maximum
-        opens = None if ideal else _openings(starts, ends)
+        opens = _openings(starts, ends) if clustered else None
         if window is None:
             upto = starts.size
         elif ideal:

@@ -20,6 +20,7 @@ from aloha_noma.simcore import (
     _decode_chains,
     _decode_cluster,
     _mw,
+    _openings,
     _overlap_counts,
     _resolve,
     _StreamSum,
@@ -225,6 +226,11 @@ class TestResolveSicIdeal:
     # an infinite end sorts after every finite one, as floats and as bits
     @example([Transmission(0, 0.5, math.inf), Transmission(1, 1.0, 1.0),
               Transmission(2, 3.0, 1.0), Transmission(3, 3.5, 2.0)], 3)
+    # nor do starts that are not float64: integer starts with float ends,
+    # and float32 starts and ends
+    @example([Transmission(i, s, 0.5) for i, s in enumerate([1, 2, 3, 4])], 2)
+    @example([Transmission(i, np.float32(s), np.float32(0.5))
+              for i, s in enumerate([1.0, 1.25, 1.5, 4.0])], 2)
     def test_matches_brute_force_on_shuffled_mixed_durations(self, txs, degree):
         expected = [c <= degree for c in brute_force_overlaps(txs)]
         assert resolve_sic(txs, SicModel(degree=degree)) == expected
@@ -555,7 +561,8 @@ class TestArrayKernel:
         # ideal degree 1 decides from cluster openings; _overlap_counts is
         # the independent reference
         starts, ends = intervals
-        flags = _resolve(starts, ends, np.zeros(starts.size), IDEAL_1)
+        opens = _openings(starts, np.maximum.accumulate(ends))
+        flags = _resolve(starts, ends, np.zeros(starts.size), IDEAL_1, opens)
         assert flags.tolist() == (_overlap_counts(starts, ends) <= 1).tolist()
 
     @given(
