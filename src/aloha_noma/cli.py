@@ -332,8 +332,12 @@ def cmd_analytic_curve(args: argparse.Namespace) -> int:
             f"g_min/g_max: {args.points} points from {args.g_min} to {args.g_max} "
             "round to repeated loads"
         )
-    curve = analytic.throughput_curve(args.degree, grid.tolist())
-    _write_csv(args, ANALYTIC_CURVE_HEADER, [{"G": p.g, "S": p.s} for p in curve.points])
+    try:
+        curve = analytic.throughput_curve(args.degree, grid.tolist())
+        rows = [{"G": p.g, "S": p.s} for p in curve.points]
+    except MemoryError:
+        raise ConfigError(f"points: cannot allocate {args.points} loads") from None
+    _write_csv(args, ANALYTIC_CURVE_HEADER, rows)
     peak = max(curve.points, key=lambda p: p.s)
     _emit_summary(
         {

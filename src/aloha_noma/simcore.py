@@ -285,14 +285,11 @@ def _overlap_counts(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def overlap_count(tx: Transmission, transmissions: list[Transmission]) -> int:
-    """Number of transmissions (tx included) intersecting tx's interval."""
-    # counted with tx appended, which adds tx itself once more; as the last
-    # packet it holds the largest index, so order.argmax() is its position
-    packets = [*transmissions, tx]
-    starts = np.array([t.start_time for t in packets])
-    order = np.argsort(starts, kind="stable")
-    ends = np.array([t.end_time for t in packets])
-    return int(_overlap_counts(starts[order], ends[order])[order.argmax()]) - 1
+    """Number of ``transmissions`` intersecting tx's interval; tx counts
+    itself only if it is in the list."""
+    starts = np.array([t.start_time for t in transmissions])
+    ends = np.array([t.end_time for t in transmissions])
+    return int(np.count_nonzero((starts < tx.end_time) & (ends > tx.start_time)))
 
 
 def _dbm_to_mw(dbm: Sequence[float]) -> list[float]:
@@ -639,24 +636,6 @@ def run_simulation(config: SimConfig) -> SimStats:
     fresh: list[tuple[np.ndarray, np.ndarray]] = []
     for window in chain(windows, [None]):
         if window is not None:
-            new_starts = window[0]
-            # starts are sorted, so the measured packets are a suffix
-            early = int(np.searchsorted(new_starts, warmup))
-            offered += new_starts.size - early
-            with np.errstate(over="ignore"):
-                busy_time = new_starts + duration
-                late = int(np.searchsorted(busy_time, horizon, side="right"))
-                busy_time -= new_starts
-                # each packet's time inside [warmup, horizon); clipping moves
-                # only those that start before the warmup or end past the horizon
-                for edge in slice(0, early), slice(late, None):
-                    at = new_starts[edge]
-                    busy_time[edge] = np.clip(at + duration, warmup, horizon)
-                    busy_time[edge] -= np.clip(at, warmup, horizon)
-            busy_time *= unit
-            busy.add(busy_time)
-            # freed before the decision, whose arrays would add to the peak
-            del busy_time
             fresh.append(window)
             # decide once the new packets outnumber the carried ones, so a
             # carry longer than a window is not scanned again every window
@@ -679,11 +658,25 @@ def run_simulation(config: SimConfig) -> SimStats:
             # the clusters before the last one are closed; opens[0] is set
             upto = starts.size - 1 - int(np.argmax(opens[-2::-1]))
         if upto > done:
+            # the decided slices cover every packet once, in order; starts and
+            # ends are sorted, so the measured packets are a suffix
+            decided, decided_ends = starts[done:upto], ends[done:upto]
+            first = int(np.searchsorted(decided, warmup))
+            late = int(np.searchsorted(decided_ends, horizon, side="right"))
+            offered += decided.size - first
+            # each packet's time inside [warmup, horizon); clipping moves
+            # only those that start before the warmup or end past the horizon
+            busy_time = decided_ends - decided
+            for edge in slice(0, first), slice(late, None):
+                busy_time[edge] = np.clip(decided_ends[edge], warmup, horizon)
+                busy_time[edge] -= np.clip(decided[edge], warmup, horizon)
+            busy_time *= unit
+            busy.add(busy_time)
+            # freed before the decision, whose arrays would add to the peak
+            del busy_time
             # a power-aware carry starts at a cluster opening, so done is 0
             # there, and the open last cluster is decided again once it closes
             ok = _resolve(starts, ends, powers, config.sic, opens)[done:upto]
-            decided = starts[done:upto]
-            first = int(np.searchsorted(decided, warmup))
             # each measured success adds its duration to the batch of its start
             success_times = decided[first:][ok[first:]] - warmup
             succeeded += success_times.size

@@ -519,6 +519,21 @@ class TestFrameSession:
         assert stdout == ""
         assert not out.exists()
 
+    def test_unallocatable_curve_exits_2(self, capsys, tmp_path, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.analytic, "throughput_curve", no_memory)
+        out = tmp_path / "curve.csv"
+        code, stdout, err = run_cli(
+            capsys, "analytic-curve", "5", "--g-min", "0", "--g-max", "10",
+            "--points", "50", "--out", str(out),
+        )
+        assert code == 2
+        assert err == "error: points: cannot allocate 50 loads\n"
+        assert stdout == ""
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "section, key, value",

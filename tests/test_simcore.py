@@ -144,6 +144,15 @@ class TestOverlapCount:
         expected = brute_force_overlaps(txs)
         assert [overlap_count(t, txs) for t in txs] == expected
 
+    def test_packet_outside_the_list_does_not_count_itself(self):
+        txs = packets(0.0, 1.0, 3.0)
+        # [0.5, 1.5) meets the first two; [2.0, 3.0) touches the third's start
+        assert overlap_count(Transmission(9, 0.5, 1.0), txs) == 2
+        assert overlap_count(Transmission(9, 2.0, 1.0), txs) == 0
+
+    def test_empty_list(self):
+        assert overlap_count(Transmission(0, 2.0, 1.0), []) == 0
+
 
 @st.composite
 def mixed_durations(draw):
