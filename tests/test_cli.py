@@ -226,6 +226,21 @@ class TestAnalyticCurve:
         assert err.startswith(f"error: {flag}: must be finite")
         assert not out.exists()
 
+    def test_unallocatable_curve_exits_2(self, capsys, tmp_path, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.analytic, "throughput_curve", no_memory)
+        out = tmp_path / "curve.csv"
+        code, stdout, err = run_cli(
+            capsys, "analytic-curve", "5", "--g-min", "0", "--g-max", "10",
+            "--points", "50", "--out", str(out),
+        )
+        assert code == 2
+        assert err == "error: points: cannot allocate 50 loads\n"
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_matches_classic_aloha(self, capsys, tmp_path):
@@ -516,21 +531,6 @@ class TestFrameSession:
         code, stdout, err = run_cli(capsys, "frame-session", cfg, "--out", str(out))
         assert code == 2
         assert err == "error: devices: cannot allocate 5 devices\n"
-        assert stdout == ""
-        assert not out.exists()
-
-    def test_unallocatable_curve_exits_2(self, capsys, tmp_path, monkeypatch):
-        def no_memory(*args, **kwargs):
-            raise MemoryError
-
-        monkeypatch.setattr(cli.analytic, "throughput_curve", no_memory)
-        out = tmp_path / "curve.csv"
-        code, stdout, err = run_cli(
-            capsys, "analytic-curve", "5", "--g-min", "0", "--g-max", "10",
-            "--points", "50", "--out", str(out),
-        )
-        assert code == 2
-        assert err == "error: points: cannot allocate 50 loads\n"
         assert stdout == ""
         assert not out.exists()
 
