@@ -243,7 +243,11 @@ def _seeds(args: argparse.Namespace, cfg: dict[str, Any]) -> list[int]:
         raise ConfigError(f"seed: must be >= 0, got {base}")
     if args.replications < 1:
         raise ConfigError(f"replications: must be >= 1, got {args.replications}")
-    return [base + k for k in range(args.replications)]
+    try:
+        return list(range(base, base + args.replications))
+    # OverflowError: a count past Py_ssize_t cannot size a list
+    except (MemoryError, OverflowError):
+        raise ConfigError(f"replications: cannot allocate {args.replications} seeds") from None
 
 
 # the stats field behind each result column named differently
@@ -450,8 +454,15 @@ def _bench_cell(
     m: int, alpha: float, mean_signal: float, noise_sigma: float
 ) -> tuple[float, estimator.HypothesisConfig]:
     """The snr and hypothesis setup of one estimator-bench cell, whose mean
-    signal is given in units of ``noise_sigma``: that is its snr."""
-    return mean_signal, estimator.HypothesisConfig(m, alpha, mean_signal * noise_sigma, noise_sigma)
+    signal is given in units of ``noise_sigma``: that is its snr.  A valid
+    snr whose product with ``noise_sigma`` leaves float range is rejected
+    naming both."""
+    signal = mean_signal * noise_sigma
+    if 0.0 < mean_signal < math.inf and not 0.0 < signal < math.inf:
+        raise ValueError(
+            f"mean_signal: {mean_signal!r} times noise_sigma {noise_sigma!r} leaves float range"
+        )
+    return mean_signal, estimator.HypothesisConfig(m, alpha, signal, noise_sigma)
 
 
 def _usable_cpus() -> int:

@@ -188,7 +188,7 @@ def run_frame(
     hyp_cfg: HypothesisConfig,
     sic: SicModel,
     policy: BackoffPolicy,
-    seed: int,
+    seed: int | np.ndarray,
     frame_index: int = 0,
     frame_start: float = 0.0,
     trace: list[TraceEvent] | None = None,
@@ -202,6 +202,9 @@ def run_frame(
     array state as ``devices``; a list goes through the same adapter as in
     ``run_session``, which writes every device back.  Numpy work is sized by
     the devices and M, Python work by the detected devices.
+
+    ``seed`` is an int, or its little-endian uint32 words, as ``run_session``
+    passes it: ``np.random.default_rng`` builds the same stream from both.
     """
     arrays = isinstance(devices, _Devices)
     with contextlib.nullcontext(devices) if arrays else _Devices.of(devices, hyp_cfg.m) as state:
@@ -324,6 +327,9 @@ def run_session(
         rng = np.random.default_rng(seed)
         try:
             frame_seeds = rng.integers(0, 2**63 - 1, size=frame_count)
+            # each seed as its little-endian uint32 words, which SeedSequence
+            # takes as they are instead of splitting the int per frame
+            seed_words = frame_seeds.astype("<i8", copy=False).view("<u4").reshape(frame_count, 2)
             # four numbers per frame, not the FrameResults, so a session's memory
             # does not grow with its frame count beyond these rows; run_frame
             # sets raw_throughput to payload_successes, so one row holds both
@@ -341,7 +347,7 @@ def run_session(
                 hyp_cfg,
                 sic,
                 policy,
-                seed=int(frame_seeds[k]),
+                seed=seed_words[k],
                 frame_index=k,
                 frame_start=start,
                 trace=trace,

@@ -192,21 +192,25 @@ def _start_windows(rng: np.random.Generator, rate: float, horizon: float) -> Ite
     The gaps are exponentials of mean 1 / ``rate``, drawn in chunks of the
     expected count plus ten standard deviations and 16 until a chunk ends
     past the horizon; a chunk's starts are the running sum of its gaps (inf
-    past float range) plus the last start of the chunk before.  Split draws,
-    and a running sum carried from window to window, give the bits of one
-    draw and one cumsum per chunk.  Once a start reaches the horizon, the
-    rest of its chunk is drawn and dropped, so that ``rng`` stands where the
-    shadowing normals begin.
+    past float range) plus the last start of the chunk before.  Each gap is
+    a standard exponential times 1 / ``rate``, which is how numpy computes
+    ``exponential(1 / rate)``, so the bits are the same.  Split draws, and a
+    running sum carried from window to window, give the bits of one draw
+    and one cumsum per chunk.  Once a start reaches the horizon, the rest
+    of its chunk is drawn unscaled and dropped, so that ``rng`` stands where
+    the shadowing normals begin.
     """
     expected = rate * horizon
     chunk = int(expected + 10.0 * math.sqrt(expected) + 16.0)
+    scale = 1.0 / rate
     base = 0.0
     while True:
         drawn, total = 0, 0.0
         while drawn < chunk:
-            starts = rng.exponential(1.0 / rate, size=min(_WINDOW, chunk - drawn))
+            starts = rng.standard_exponential(min(_WINDOW, chunk - drawn))
             drawn += starts.size
             with np.errstate(over="ignore"):
+                starts *= scale
                 starts[0] += total
                 np.cumsum(starts, out=starts)
                 total = float(starts[-1])
@@ -217,16 +221,20 @@ def _start_windows(rng: np.random.Generator, rate: float, horizon: float) -> Ite
                 yield starts[:below]
             if below < starts.size:
                 for left in range(chunk - drawn, 0, -_WINDOW):
-                    rng.exponential(1.0 / rate, size=min(_WINDOW, left))
+                    rng.standard_exponential(min(_WINDOW, left))
                 return
         base += total
 
 
-def _traffic(config: SimConfig) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+def _traffic(
+    config: SimConfig, shadowing: bool = True
+) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """The packet count, and the start times (in increasing order) and
     received powers (dBm) behind ``generate_traffic``, in windows of at most
-    _WINDOW packets; without shadowing the powers are read-only views of the
-    one base power.
+    _WINDOW packets; without shadowing, or with ``shadowing`` False, the
+    powers are read-only views of the one base power.  The shadowing normals
+    come after every gap in the stream, so leaving them undrawn moves no
+    start.
 
     A first pass draws every gap to count the packets, and leaves the stream
     where the shadowing normals begin.  A run of at most _KEPT packets keeps
@@ -248,7 +256,7 @@ def _traffic(config: SimConfig) -> tuple[int, Iterator[tuple[np.ndarray, np.ndar
 
     def windows() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for starts in stream:
-            if config.shadowing_sigma_db > 0.0:
+            if shadowing and config.shadowing_sigma_db > 0.0:
                 powers = rng.normal(0.0, config.shadowing_sigma_db, size=starts.size)
                 # levels past float range are +-inf, which the decoder handles
                 with np.errstate(over="ignore"):
@@ -616,7 +624,9 @@ def run_simulation(config: SimConfig) -> SimStats:
     mode carries the overlap cluster still open.  Counts, batch counts and
     the busy-time sum add up over the windows to the bits of one pass.
     """
-    count, windows = _traffic(config)
+    ideal = config.sic.mode is SicMode.IDEAL
+    # ideal SIC reads no power, so it draws no shadowing
+    count, windows = _traffic(config, shadowing=not ideal)
     if count == 0:
         return SimStats(0, 0, 0.0, 0.0, 0.0, degenerate=True)
     duration, warmup, horizon = config.packet_duration, config.warmup, config.horizon
@@ -624,7 +634,6 @@ def run_simulation(config: SimConfig) -> SimStats:
     # past 2**900 s the sums of durations are taken in units of 2**64 s: the
     # same bits of each ratio, in float range; an end past that range is inf
     unit = _SCALE if horizon > 2.0**900 else 1.0
-    ideal = config.sic.mode is SicMode.IDEAL
     # ideal SIC above degree 1 decides by position, without cluster openings
     clustered = not ideal or config.sic.degree == 1
     busy = _StreamSum(count, _WINDOW)

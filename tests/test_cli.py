@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,6 +34,22 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+@contextmanager
+def address_space_to_spare(nbytes):
+    """Limit this process's address space to its current size plus
+    ``nbytes``, so that a larger allocation fails at once."""
+    resource = pytest.importorskip("resource")
+    with open("/proc/self/status", encoding="ascii") as fh:
+        size = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = size + nbytes if hard == resource.RLIM_INFINITY else min(size + nbytes, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def run_python(*argv):
@@ -613,6 +630,16 @@ class TestEstimatorBench:
         assert code == 2
         assert "snrs" in err
 
+    def test_noise_sigma_past_the_signal_range_is_named(self, capsys, tmp_path):
+        # the mean signal is snr * noise_sigma; the user wrote neither inf nor
+        # a mean signal, so the message names the two values they wrote
+        cfg = write_config(tmp_path, "bench.json", dict(BENCH_CONFIG, noise_sigma=1e308))
+        out = tmp_path / "b.csv"
+        code, stdout, err = run_cli(capsys, "estimator-bench", cfg, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "error: snrs: 5.0 times noise_sigma 1e+308 leaves float range\n"
+        assert not out.exists()
+
 
 class TestCommonBehaviour:
     def test_unreadable_config(self, capsys, tmp_path):
@@ -639,6 +666,21 @@ class TestCommonBehaviour:
         )
         assert code == 2
         assert "replications" in err
+
+    # under 256 MiB of address space to spare, a list of 10**8 or 10**16 seeds
+    # fails to allocate at once, and one of 10**19 cannot be sized
+    @pytest.mark.parametrize("replications", [10**8, 10**16, 10**19])
+    @pytest.mark.parametrize("command", ["simulate", "frame-session"])
+    def test_unallocatable_replications_exit_2(self, capsys, tmp_path, command, replications):
+        config = SIM_CONFIG if command == "simulate" else SESSION_CONFIG
+        out = tmp_path / "r.csv"
+        argv = [command, write_config(tmp_path, "r.json", config), "--out", str(out),
+                "--replications", str(replications)]
+        with address_space_to_spare(256 * 2**20):
+            code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: replications: cannot allocate {replications} seeds\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", ["analytic-max", "analytic-curve", "simulate", "frame-session", "estimator-bench"]

@@ -321,6 +321,25 @@ class TestInfinitePayloadPowers:
         assert 0 in successes and len(successes) > 2
 
 
+class TestSeedWords:
+    """run_session seeds each frame from its seed's little-endian uint32
+    words, which SeedSequence must take for the int's own stream."""
+
+    # a zero high word (the seeds below 2**32) must not move the stream
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2,
+             *np.random.default_rng(2026).integers(0, 2**63 - 1, size=40).tolist()]
+
+    def test_words_give_the_int_stream(self):
+        words = np.array(self.SEEDS, dtype=np.int64).astype("<i8").view("<u4").reshape(-1, 2)
+        assert words[:3, 1].tolist() == [0, 0, 0]
+        for seed, row in zip(self.SEEDS, words):
+            from_int, from_words = np.random.default_rng(seed), np.random.default_rng(row)
+            assert from_int.integers(0, 2**63 - 1) == from_words.integers(0, 2**63 - 1)
+            assert from_int.standard_normal(9).tobytes() == from_words.standard_normal(9).tobytes()
+            assert (from_int.integers(-7, 8, size=11).tolist()
+                    == from_words.integers(-7, 8, size=11).tolist())
+
+
 class TestRunSession:
     def run_args(self):
         return dict(

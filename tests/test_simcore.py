@@ -943,14 +943,32 @@ class TestRunSimulation:
     )
     def test_intervals_cover_analytic_throughput(self, degree, g):
         # 95% intervals from independent seeds cover the true S as a
-        # Binomial(runs, 0.95) count; fewer than its 0.1% quantile fails
+        # Binomial(runs, 0.95) count; fewer than its 0.1% quantile fails, and
         runs = 400
         covered = 0
         for seed in range(runs):
             stats = run_simulation(sim_config(g=g, horizon=2e4, degree=degree, seed=seed))
             error = abs(stats.normalized_throughput - analytic.throughput(g, degree))
             covered += error <= stats.confidence_half_width
-        assert covered >= scipy_stats.binom.ppf(0.001, runs, 0.95)
+        # more than its 99.9% quantile fails too: intervals too wide
+        assert scipy_stats.binom.ppf(0.001, runs, 0.95) <= covered
+        assert covered <= scipy_stats.binom.ppf(0.999, runs, 0.95)
+
+    def test_ideal_run_draws_no_shadowing(self, monkeypatch):
+        # ideal SIC reads no power, so its windows carry the read-only view of
+        # the base power; the normals would come after every gap, so leaving
+        # them undrawn moves no output
+        traffic, powers = simcore._traffic, []
+
+        def recording(*args, **kwargs):
+            count, windows = traffic(*args, **kwargs)
+            return count, (powers.append(p) or (s, p) for s, p in windows)
+
+        monkeypatch.setattr(simcore, "_traffic", recording)
+        shadowed = sim_config(g=2.0, horizon=3000.0, degree=4, seed=5, shadowing_sigma_db=6.0)
+        stats = run_simulation(shadowed)
+        assert powers and not any(p.flags.writeable for p in powers)
+        assert stats == run_simulation(replace(shadowed, shadowing_sigma_db=0.0))
 
     # the four channel-benchmark runs (bench/workloads.py SIMULATIONS) at
     # seed 12: 1e5-4e5 packets, power-aware clusters of up to 71 packets
@@ -1059,6 +1077,15 @@ WINDOWS = st.one_of(st.integers(128, 400), st.integers(128, 4096))
 
 
 class TestStreaming:
+    # _start_windows scales standard exponentials by 1 / rate in place, which
+    # gives exponential(1 / rate)'s bits only while numpy computes it so
+    @pytest.mark.parametrize("scale", [1.0, 1.0 / 3.0, 1.0 / 40.0, 2.5e-7, 1e300])
+    def test_exponentials_are_scaled_standard_exponentials(self, scale):
+        expected = np.random.default_rng(9).exponential(scale, size=4096)
+        gaps = np.random.default_rng(9).standard_exponential(4096)
+        gaps *= scale
+        assert gaps.tobytes() == expected.tobytes()
+
     @settings(deadline=None)
     @given(small_runs(), WINDOWS)
     def test_windows_give_the_one_shot_stats(self, config, window):
