@@ -41,7 +41,10 @@ def address_space_to_spare(nbytes):
     """Limit this process's address space to its current size plus
     ``nbytes``, so that a larger allocation fails at once."""
     resource = pytest.importorskip("resource")
-    with open("/proc/self/status", encoding="ascii") as fh:
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status for the process's address-space size")
+    with status.open(encoding="ascii") as fh:
         size = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     limit = size + nbytes if hard == resource.RLIM_INFINITY else min(size + nbytes, hard)

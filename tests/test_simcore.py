@@ -944,13 +944,13 @@ class TestRunSimulation:
     def test_intervals_cover_analytic_throughput(self, degree, g):
         # 95% intervals from independent seeds cover the true S as a
         # Binomial(runs, 0.95) count; fewer than its 0.1% quantile fails, and
+        # so do more than its 99.9% quantile (intervals too wide)
         runs = 400
         covered = 0
         for seed in range(runs):
             stats = run_simulation(sim_config(g=g, horizon=2e4, degree=degree, seed=seed))
             error = abs(stats.normalized_throughput - analytic.throughput(g, degree))
             covered += error <= stats.confidence_half_width
-        # more than its 99.9% quantile fails too: intervals too wide
         assert scipy_stats.binom.ppf(0.001, runs, 0.95) <= covered
         assert covered <= scipy_stats.binom.ppf(0.999, runs, 0.95)
 
