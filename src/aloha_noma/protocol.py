@@ -18,13 +18,16 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from .estimator import HypothesisConfig, _frame_rejections
 from .simcore import SicMode, SicModel, _decode_cluster
 from .stats import batch_half_width
+
+if TYPE_CHECKING:
+    from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "BackoffPolicy",
@@ -137,10 +140,17 @@ def power_backoff(
 
 
 def effective_throughput(raw: float, schedule: FrameSchedule) -> float:
-    """Discount raw payload-phase throughput by the frame overhead share."""
+    """Discount raw payload-phase throughput by the frame overhead share.
+
+    The product ``raw * payload`` comes first, as it always has, so ordinary
+    values keep their bits; only where it leaves float range (a payload
+    phase near float max) does the share ``payload / total`` come first."""
     if raw < 0.0:
         raise ValueError(f"raw throughput must be >= 0, got {raw!r}")
-    return raw * schedule.payload / schedule.total
+    product = raw * schedule.payload
+    if math.isinf(product):
+        return raw * (schedule.payload / schedule.total)
+    return product / schedule.total
 
 
 class _Devices:
@@ -188,7 +198,7 @@ def run_frame(
     hyp_cfg: HypothesisConfig,
     sic: SicModel,
     policy: BackoffPolicy,
-    seed: int | np.ndarray,
+    seed: int | np.ndarray | ISeedSequence,
     frame_index: int = 0,
     frame_start: float = 0.0,
     trace: list[TraceEvent] | None = None,
@@ -203,16 +213,22 @@ def run_frame(
     ``run_session``, which writes every device back.  Numpy work is sized by
     the devices and M, Python work by the detected devices.
 
-    ``seed`` is an int, or its little-endian uint32 words, as ``run_session``
-    passes it: ``np.random.default_rng`` builds the same stream from both.
+    ``seed`` is an int, its little-endian uint32 words, or the precomputed
+    seed state ``run_session`` passes: ``np.random.default_rng`` builds the
+    int's own stream from each.  The frame draws its estimation seed first;
+    a state's estimation holder replaces that seed only if it was hashed
+    from the seed drawn, and any other is ignored.
     """
     arrays = isinstance(devices, _Devices)
     with contextlib.nullcontext(devices) if arrays else _Devices.of(devices, hyp_cfg.m) as state:
         rng = np.random.default_rng(seed)
         estimation_seed = int(rng.integers(0, 2**63 - 1))
+        estimation = getattr(seed, "estimation", None)
+        if estimation is None or estimation.seed != estimation_seed:
+            estimation = estimation_seed
 
         active = state.has_data.nonzero()[0]
-        rejected = _frame_rejections(active, hyp_cfg, estimation_seed)
+        rejected = _frame_rejections(active, hyp_cfg, estimation)
         # a false rejection past the last device counts in the estimate only
         estimated = int(np.count_nonzero(rejected))
         # only devices that transmitted a dummy carry a decodable ID, so a
@@ -314,7 +330,9 @@ def run_session(
     run on arrays of its state; the arrays are written back to the
     ``DeviceState`` objects when the session ends, also when a frame
     raises.  Each frame still goes through the module's ``run_frame``, so
-    a per-frame observer can rebind it.
+    a per-frame observer can rebind it.  Each frame is seeded from a
+    precomputed seed state (``_seeds.frame_states``), which builds the frame
+    seed's own generator without hashing the seed per frame.
     """
     if operator.index(frame_count) < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
@@ -322,14 +340,14 @@ def run_session(
         raise ValueError(
             f"activation_probability must be in [0, 1], got {activation_probability!r}"
         )
+    # numpy.random, which _seeds needs, loads on first use, not at start-up
+    from . import _seeds
+
     # checked and converted once, before the first draw
     with _Devices.of(devices, hyp_cfg.m) as state:
         rng = np.random.default_rng(seed)
         try:
             frame_seeds = rng.integers(0, 2**63 - 1, size=frame_count)
-            # each seed as its little-endian uint32 words, which SeedSequence
-            # takes as they are instead of splitting the int per frame
-            seed_words = frame_seeds.astype("<i8", copy=False).view("<u4").reshape(frame_count, 2)
             # four numbers per frame, not the FrameResults, so a session's memory
             # does not grow with its frame count beyond these rows; run_frame
             # sets raw_throughput to payload_successes, so one row holds both
@@ -337,7 +355,7 @@ def run_session(
         except (MemoryError, ValueError):
             raise MemoryError(f"frame_count: cannot allocate {frame_count} frames") from None
         start = 0.0
-        for k in range(frame_count):
+        for k, frame_seed in enumerate(_seeds.frame_states(frame_seeds)):
             # one uniform per idle device, in list order
             idle = (~state.has_data).nonzero()[0]
             state.has_data[idle] = rng.random(idle.size) < activation_probability
@@ -347,7 +365,7 @@ def run_session(
                 hyp_cfg,
                 sic,
                 policy,
-                seed=seed_words[k],
+                seed=frame_seed,
                 frame_index=k,
                 frame_start=start,
                 trace=trace,

@@ -522,6 +522,24 @@ class TestFrameSession:
         assert err.startswith(f"error: schedule.{field}: phase duration must be finite")
         assert not out.exists()
 
+    def test_payload_near_float_max_gives_finite_throughput(self, capsys, tmp_path):
+        # two successes times payload_s leave float range; the share the
+        # payload phase takes of the frame does not
+        cfg = write_config(tmp_path, "long.json", dict(SESSION_CONFIG, schedule={"payload_s": 1e308}))
+        out = tmp_path / "sess.csv"
+        code, stdout, _ = run_cli(capsys, "frame-session", cfg, "--out", str(out), "--no-timestamp")
+        assert code == 0
+        header, rows = read_csv(out)
+        column = header.split(",").index("mean_effective_throughput")
+        assert rows and all(math.isfinite(float(row.split(",")[column])) for row in rows)
+
+        def refuse(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        record = json.loads(stdout, parse_constant=refuse)["records"][0]
+        assert record["mean_raw_throughput"] > 0.0
+        assert record["mean_effective_throughput"] == record["mean_raw_throughput"]
+
     def test_refuses_append_under_foreign_header(self, capsys, tmp_path):
         sim_cfg = write_config(tmp_path, "sim.json", dict(SIM_CONFIG, horizon_s=2000.0))
         cfg = write_config(tmp_path, "sess.json", dict(SESSION_CONFIG, frames=5))
@@ -777,6 +795,13 @@ def test_simulate_memory_stays_flat_as_the_horizon_grows(tmp_path, config, small
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import; nothing at start-up needs it
     code = "import sys, aloha_noma.cli; print('scipy.stats' in sys.modules)"
+    assert run_python("-c", code).stdout.strip() == "False"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use, and its import (hashlib and
+    # secrets among them) takes about 20 ms that no start-up path needs
+    code = "import sys, aloha_noma.cli; print('numpy.random' in sys.modules)"
     assert run_python("-c", code).stdout.strip() == "False"
 
 

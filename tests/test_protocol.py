@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from aloha_noma import estimator, protocol
+from aloha_noma import _seeds, estimator, protocol
 from aloha_noma.estimator import HypothesisConfig, simulate_estimation_round
 from aloha_noma.protocol import (
     PHASES,
@@ -75,6 +76,12 @@ class TestEffectiveThroughput:
     def test_rejects_negative_raw(self):
         with pytest.raises(ValueError):
             effective_throughput(-0.1, FrameSchedule())
+
+    def test_payload_near_float_max(self):
+        # raw * payload leaves float range; the overhead share does not
+        sched = FrameSchedule(payload=1e308)
+        assert effective_throughput(3.0, sched) == 3.0 * (1e308 / sched.total)
+        assert effective_throughput(1.0, sched) == 1e308 / sched.total
 
 
 class TestPowerBackoff:
@@ -322,8 +329,9 @@ class TestInfinitePayloadPowers:
 
 
 class TestSeedWords:
-    """run_session seeds each frame from its seed's little-endian uint32
-    words, which SeedSequence must take for the int's own stream."""
+    """A frame's generator is built from its seed's little-endian uint32
+    words or from the SeedSequence state run_session hashes from them; both
+    must give the int seed's own stream on the installed numpy."""
 
     # a zero high word (the seeds below 2**32) must not move the stream
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2,
@@ -338,6 +346,75 @@ class TestSeedWords:
             assert from_int.standard_normal(9).tobytes() == from_words.standard_normal(9).tobytes()
             assert (from_int.integers(-7, 8, size=11).tolist()
                     == from_words.integers(-7, 8, size=11).tolist())
+
+    def test_hashed_states_are_the_seed_sequence_states(self):
+        seeds = np.array(
+            [*self.SEEDS, *np.random.default_rng(7).integers(0, 2**63 - 1, size=10**4)],
+            dtype=np.int64,
+        )
+        # the hash wraps only uint32 arrays: a numpy scalar that overflowed
+        # would warn, or raise under this error state
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            states = _seeds.states(seeds)
+        assert states.dtype == np.uint64 and states.shape == (seeds.size, 4)
+        for seed, row in zip(seeds.tolist(), states):
+            assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+    def test_state_holder_gives_the_int_stream(self):
+        states = _seeds.states(np.array(self.SEEDS, dtype=np.int64))
+        for seed, row in zip(self.SEEDS, states):
+            from_int = np.random.default_rng(seed)
+            from_state = np.random.default_rng(_seeds.SeedState(seed, row))
+            assert from_int.integers(0, 2**63 - 1) == from_state.integers(0, 2**63 - 1)
+            assert from_int.standard_normal(9).tobytes() == from_state.standard_normal(9).tobytes()
+
+    def test_state_holder_refuses_other_requests(self):
+        holder = _seeds.SeedState(5, _seeds.states(np.array([5]))[0])
+        with pytest.raises(ValueError, match="generate_state"):
+            holder.generate_state(8, np.uint32)
+
+    # a weak signal, so that the estimation draws decide the detections, and
+    # power-aware SIC, so that the back-off steps decide the decodes
+    FRAME_ARGS = dict(
+        schedule=FrameSchedule(),
+        hyp_cfg=HypothesisConfig(m=12, alpha=0.05, mean_signal=3.5, noise_sigma=1.0),
+        sic=SicModel(degree=4, mode=SicMode.POWER_AWARE),
+        policy=BackoffPolicy(),
+    )
+
+    def frame(self, seed):
+        devs = devices(12, active=range(0, 12, 2))
+        return run_frame(devs, seed=seed, **self.FRAME_ARGS), devs
+
+    def test_frame_from_a_session_state_is_the_int_frame(self):
+        seeds = np.random.default_rng(11).integers(0, 2**63 - 1, size=30)
+        holders = list(_seeds.frame_states(seeds))
+        assert [h.seed for h in holders] == seeds.tolist()
+        for seed, holder in zip(seeds.tolist(), holders):
+            assert self.frame(holder) == self.frame(seed)
+
+    def test_each_block_gives_its_seeds_their_states(self):
+        seeds = np.random.default_rng(13).integers(0, 2**63 - 1, size=2 * _seeds.BLOCK + 3)
+        for seed, holder in zip(seeds.tolist(), _seeds.frame_states(seeds), strict=True):
+            estimation_seed = int(np.random.default_rng(seed).integers(0, 2**63 - 1))
+            assert holder.seed == seed and holder.estimation.seed == estimation_seed
+            for h in (holder, holder.estimation):
+                assert (h.state.tolist()
+                        == np.random.SeedSequence(h.seed).generate_state(4, np.uint64).tolist())
+
+    def test_estimation_state_of_another_draw_is_refused(self):
+        seeds = np.random.default_rng(12).integers(0, 2**63 - 1, size=30)
+        holders = list(_seeds.frame_states(seeds))
+        changed = 0
+        for seed, holder, other in zip(seeds.tolist(), holders, holders[1:]):
+            forged = _seeds.SeedState(seed, holder.state, other.estimation)
+            assert self.frame(forged) == self.frame(seed)
+            used = _seeds.SeedState(seed, holder.state, _seeds.SeedState(
+                holder.estimation.seed, other.estimation.state))
+            changed += self.frame(used) != self.frame(seed)
+        # the other draws' states would change frames, had they been used
+        assert changed >= 5
 
 
 class TestRunSession:
