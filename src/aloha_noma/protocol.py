@@ -61,6 +61,13 @@ class FrameSchedule:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name}: phase duration must be finite and > 0, got {value!r}")
+        if math.isinf(self.total):
+            # named after the longest phase, the one to shorten
+            name = max(PHASES, key=self.__getattribute__)
+            raise ValueError(
+                f"{name}: phase durations must sum below float max, got {getattr(self, name)!r} "
+                "in a frame whose phases sum to inf"
+            )
         if self.overhead >= self.payload:
             warnings.warn(
                 "frame overhead is not shorter than the payload phase; "

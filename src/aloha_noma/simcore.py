@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-# packets per window of the arrival stream; _StreamSum needs at least 128
+# packets per window of the arrival stream
 _WINDOW = 2**15
 # packets whose starts a run keeps from counting to use, 4 MiB of float64
 _KEPT = 2**19
@@ -567,51 +567,6 @@ def resolve_sic(transmissions: list[Transmission], sic: SicModel) -> list[bool]:
     return flags.tolist()
 
 
-def _pairwise_pieces(n: int, leaf: int, merges: int = 0) -> Iterator[tuple[int, int]]:
-    """The pieces, in order, of numpy's pairwise sum of ``n`` values split
-    down to at most ``leaf`` values: (size, how many pending sums the piece's
-    sum completes)."""
-    if n <= leaf:
-        yield n, merges
-    else:
-        half = n // 2 - n // 2 % 8
-        yield from _pairwise_pieces(half, leaf)
-        yield from _pairwise_pieces(n - half, leaf, merges + 1)
-
-
-class _StreamSum:
-    """``np.add.reduce`` of ``size`` float64 values fed in parts, to the bit.
-
-    numpy sums a contiguous array pairwise: it splits a piece of more than
-    128 values after ``n // 2 - n // 2 % 8`` of them and adds the two sums.
-    Here each piece of at most ``leaf`` >= 128 values is summed by
-    ``np.add.reduce`` and the sums are added back up the same tree, so only
-    one piece is held at a time.
-    """
-
-    def __init__(self, size: int, leaf: int) -> None:
-        self._pieces = _pairwise_pieces(size, leaf)
-        self._next = next(self._pieces)
-        self._held = np.empty(0)
-        self._sums: list[float] = []
-
-    def add(self, values: np.ndarray) -> None:
-        held = np.concatenate((self._held, values))
-        while self._next is not None and self._next[0] <= held.size:
-            size, merges = self._next
-            self._sums.append(float(np.add.reduce(held[:size])))
-            held = held[size:]
-            for _ in range(merges):
-                right = self._sums.pop()
-                self._sums[-1] += right
-            self._next = next(self._pieces, None)
-        self._held = held
-
-    def total(self) -> float:
-        (total,) = self._sums
-        return total
-
-
 def run_simulation(config: SimConfig) -> SimStats:
     """Generate traffic, resolve reception, and measure throughput.
 
@@ -621,14 +576,15 @@ def run_simulation(config: SimConfig) -> SimStats:
 
     The packets are decided window by window.  Ideal mode carries the
     packets within one duration of the first undecided start; power-aware
-    mode carries the overlap cluster still open.  Counts, batch counts and
-    the busy-time sum add up over the windows to the bits of one pass.
+    mode carries the overlap cluster still open.  Counts and batch counts
+    add up over the windows.  The mean concurrency is the busy time over the
+    measured span: the duration times the count of packets wholly inside
+    it, plus the clipped time of each packet that crosses its edges, added
+    one at a time in packet order, so any window gives the bits of one pass.
     """
     ideal = config.sic.mode is SicMode.IDEAL
     # ideal SIC reads no power, so it draws no shadowing
-    count, windows = _traffic(config, shadowing=not ideal)
-    if count == 0:
-        return SimStats(0, 0, 0.0, 0.0, 0.0, degenerate=True)
+    _, windows = _traffic(config, shadowing=not ideal)
     duration, warmup, horizon = config.packet_duration, config.warmup, config.horizon
     span = horizon - warmup
     # past 2**900 s the sums of durations are taken in units of 2**64 s: the
@@ -636,8 +592,8 @@ def run_simulation(config: SimConfig) -> SimStats:
     unit = _SCALE if horizon > 2.0**900 else 1.0
     # ideal SIC above degree 1 decides by position, without cluster openings
     clustered = not ideal or config.sic.degree == 1
-    busy = _StreamSum(count, _WINDOW)
-    offered = succeeded = 0
+    offered = succeeded = inside = 0
+    edge = 0.0
     batches = np.zeros(BATCH_COUNT, dtype=np.int64)
     # the carried packets, the first ``done`` of them decided already, and
     # the windows drawn since
@@ -673,16 +629,17 @@ def run_simulation(config: SimConfig) -> SimStats:
             first = int(np.searchsorted(decided, warmup))
             late = int(np.searchsorted(decided_ends, horizon, side="right"))
             offered += decided.size - first
-            # each packet's time inside [warmup, horizon); clipping moves
-            # only those that start before the warmup or end past the horizon
-            busy_time = decided_ends - decided
-            for edge in slice(0, first), slice(late, None):
-                busy_time[edge] = np.clip(decided_ends[edge], warmup, horizon)
-                busy_time[edge] -= np.clip(decided[edge], warmup, horizon)
-            busy_time *= unit
-            busy.add(busy_time)
-            # freed before the decision, whose arrays would add to the peak
-            del busy_time
+            # the measured packets that end by the horizon lie inside
+            # [warmup, horizon); the rest, and those that start before the
+            # warmup but end after it, cross an edge (a packet may cross both)
+            early = int(np.searchsorted(decided_ends, warmup, side="right"))
+            last = max(first, late)
+            inside += last - first
+            for cross in slice(early, first), slice(last, None):
+                clipped = np.clip(decided_ends[cross], warmup, horizon)
+                clipped -= np.clip(decided[cross], warmup, horizon)
+                for busy_time in (clipped * unit).tolist():
+                    edge += busy_time
             # a power-aware carry starts at a cluster opening, so done is 0
             # there, and the open last cluster is decided again once it closes
             ok = _resolve(starts, ends, powers, config.sic, opens)[done:upto]
@@ -697,7 +654,7 @@ def run_simulation(config: SimConfig) -> SimStats:
             starts, powers, done = starts[keep:], powers[keep:], upto - keep
 
     duration, span = duration * unit, span * unit
-    mean_concurrency = busy.total() / span
+    mean_concurrency = (inside * duration + edge) / span
     if offered == 0:
         return SimStats(0, 0, 0.0, mean_concurrency, 0.0, degenerate=True)
     return SimStats(

@@ -540,6 +540,20 @@ class TestFrameSession:
         assert record["mean_raw_throughput"] > 0.0
         assert record["mean_effective_throughput"] == record["mean_raw_throughput"]
 
+    def test_phases_summing_past_float_range_are_rejected(self, capsys, tmp_path):
+        # the shipped session with two finite phases whose sum is not
+        shipped = json.loads((Path(__file__).parents[1] / "configs" / "frame_session.json").read_text())
+        shipped["schedule"].update(payload_s=1.7e308, beacon_s=1e308)
+        cfg = write_config(tmp_path, "sum.json", shipped)
+        out = tmp_path / "sess.csv"
+        code, stdout, err = run_cli(capsys, "frame-session", cfg, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [
+            "error: schedule.payload_s: phase durations must sum below float max, "
+            "got 1.7e+308 in a frame whose phases sum to inf"
+        ]
+        assert not out.exists()
+
     def test_refuses_append_under_foreign_header(self, capsys, tmp_path):
         sim_cfg = write_config(tmp_path, "sim.json", dict(SIM_CONFIG, horizon_s=2000.0))
         cfg = write_config(tmp_path, "sess.json", dict(SESSION_CONFIG, frames=5))

@@ -60,6 +60,18 @@ class TestFrameSchedule:
         assert sched.overhead == 4.0
         assert sched.total == 100.0
 
+    @pytest.mark.parametrize(
+        "phases, name",
+        [({"payload": 1.7e308, "beacon": 1e308}, "payload"),
+         ({"beacon": 1e308, "ack": 1e308}, "beacon")],
+        ids=["with_payload", "overhead_alone"],
+    )
+    def test_rejects_phases_summing_past_float_range(self, phases, name):
+        # each phase is finite but the frame is not; the message names the
+        # longest phase (the first of equals)
+        with pytest.raises(ValueError, match=f"^{name}: phase durations must sum below float max"):
+            FrameSchedule(**phases)
+
 
 class TestEffectiveThroughput:
     def test_default_schedule_efficiency(self):
@@ -526,8 +538,10 @@ class TestRunSession:
         means, widths = np.array(means), np.array(widths)
         covered = np.count_nonzero(np.abs(means - means.mean()) <= widths)
         assert covered >= scipy_stats.binom.ppf(0.001, sessions, 0.95)
+        # too narrow or too wide by more than three of those errors fails
         spread = 1.96 * means.std(ddof=1)
-        assert widths.mean() / spread >= 1.0 - 3.0 / math.sqrt(2 * (sessions - 1))
+        bound = 3.0 / math.sqrt(2 * (sessions - 1))
+        assert 1.0 - bound <= widths.mean() / spread <= 1.0 + bound
 
     def test_memory_does_not_grow_with_frames(self):
         # a session keeps a few numbers per frame, not the frame results

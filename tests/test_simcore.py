@@ -23,7 +23,6 @@ from aloha_noma.simcore import (
     _openings,
     _overlap_counts,
     _resolve,
-    _StreamSum,
     generate_traffic,
     overlap_count,
     resolve_sic,
@@ -863,7 +862,7 @@ class TestRunSimulation:
             (
                 SicModel(degree=2),
                 {"seed": 31},
-                SimStats(19876, 8212, 0.41266331658291455, 0.9988628425878078,
+                SimStats(19876, 8212, 0.41266331658291455, 0.9988628425878077,
                          0.010223982917660435),
             ),
             (
@@ -890,13 +889,13 @@ class TestRunSimulation:
             (
                 SicModel(degree=2),
                 {"seed": 31},
-                SimStats(19876, 8212, 0.4126633165829146, 0.9988628425875534,
+                SimStats(19876, 8212, 0.4126633165829146, 0.9988628425878077,
                          0.010223982917660435),
             ),
             (
                 SicModel(degree=3, mode=SicMode.POWER_AWARE),
                 {"seed": 37, "base_power_dbm": -10.0, "shadowing_sigma_db": 6.0},
-                SimStats(19969, 4810, 0.24170854271356784, 1.00352816985738,
+                SimStats(19969, 4810, 0.24170854271356784, 1.003528169857636,
                          0.006495214643652973),
             ),
         ],
@@ -1023,16 +1022,20 @@ def one_shot_traffic(config):
 
 def one_shot_stats(config):
     """``run_simulation`` on one array of every packet, from
-    ``generate_traffic`` and ``resolve_sic``."""
+    ``generate_traffic`` and ``resolve_sic``.  The busy time is the duration
+    times the count of packets wholly inside [warmup, horizon), plus the
+    clipped time of every other packet, added one at a time in packet order."""
     txs = generate_traffic(config)
-    if not txs:
-        return SimStats(0, 0, 0.0, 0.0, 0.0, degenerate=True)
     starts = np.array([t.start_time for t in txs])
-    ok = np.array(resolve_sic(txs, config.sic))
+    ok = np.array(resolve_sic(txs, config.sic), dtype=bool)
     warmup, horizon = config.warmup, config.horizon
     span = horizon - warmup
-    busy = np.clip(starts + config.packet_duration, warmup, horizon) - np.clip(starts, warmup, horizon)
-    mean_concurrency = float(busy.sum() / span)
+    ends = starts + config.packet_duration
+    inside = (starts >= warmup) & (ends <= horizon)
+    edge = 0.0
+    for busy in (np.clip(ends, warmup, horizon) - np.clip(starts, warmup, horizon))[~inside]:
+        edge += float(busy)
+    mean_concurrency = (np.count_nonzero(inside) * config.packet_duration + edge) / span
     measured = starts >= warmup
     if not measured.any():
         return SimStats(0, 0, 0.0, mean_concurrency, 0.0, degenerate=True)
@@ -1130,6 +1133,51 @@ class TestStreaming:
         )
         assert streamed(config, 128) == one_shot_stats(config)
 
+    # the busy time adds the clipped time of each packet that crosses the
+    # warmup or the horizon one at a time, so where the windows cut the
+    # crossers moves no bit
+
+    @pytest.mark.parametrize("mode", list(SicMode))
+    def test_warmup_crossers_over_several_windows(self, mode):
+        # at 500 packets per duration the packets that start within one
+        # duration before the warmup fill several windows of 128; over a span
+        # of half a duration every packet crosses an edge, so the order in
+        # which their clipped times are added shows in the last bits
+        config = sim_config(g=500.0, horizon=100.0, degree=8, seed=1, warmup=99.5,
+                            sic_kw={"mode": mode})
+        starts = np.array([t.start_time for t in generate_traffic(config)])
+        assert np.count_nonzero((starts < 99.5) & (starts + 1.0 > 99.5)) > 3 * 128
+        expected = one_shot_stats(config)
+        assert expected.mean_concurrency == pytest.approx(500.0, rel=0.02)
+        for window in (128, 1000):
+            assert streamed(config, window) == expected
+
+    @pytest.mark.parametrize("seed", [2, 25])
+    def test_packet_across_both_edges_counts_once(self, seed):
+        # a measured span of half a duration; at each seed one packet starts
+        # before the warmup and ends past the horizon, which adds the span
+        # once; at seed 2 no packet starts inside the span, so the channel is
+        # busy for exactly the span and no start is measured
+        config = sim_config(g=0.5, horizon=100.0, seed=seed, warmup=99.5)
+        starts = np.array([t.start_time for t in generate_traffic(config)])
+        assert np.count_nonzero((starts < 99.5) & (starts + 1.0 > 100.0)) == 1
+        expected = one_shot_stats(config)
+        for window in (1, 2, 128):
+            assert streamed(config, window) == expected
+        if seed == 2:
+            assert expected == SimStats(0, 0, 0.0, 1.0, 0.0, degenerate=True)
+        else:
+            assert expected.offered > 0 and expected.mean_concurrency > 1.0
+
+    def test_warmup_crosser_without_a_measured_start(self):
+        # at seed 0 one packet crosses the warmup and none starts after it:
+        # no start is measured, but the channel was busy
+        config = sim_config(g=0.5, horizon=100.0, seed=0, warmup=99.5)
+        stats = streamed(config, 1)
+        assert stats == one_shot_stats(config) == streamed(config, 128)
+        assert stats.degenerate and stats.offered == 0
+        assert 0.0 < stats.mean_concurrency < 1.0
+
     @settings(deadline=None, max_examples=30)
     @given(small_runs(), WINDOWS)
     def test_traffic_is_the_one_shot_draw_at_every_window(self, config, window):
@@ -1196,28 +1244,6 @@ class TestStreaming:
                 txs = generate_traffic(config)
                 assert [t.start_time for t in txs] == starts.tolist()
                 assert [t.rx_power_dbm for t in txs] == powers.tolist()
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(1, 1_100_000), st.integers(128, 8192), st.integers(0, 2**32 - 1))
-    @example(1_048_583, 128, 1)
-    @example(129, 128, 2)
-    def test_stream_sum_is_numpy_sum(self, n, leaf, seed):
-        # values spread over twelve decades, so the summation order shows
-        rng = np.random.default_rng(seed)
-        values = rng.exponential(size=n) * 10.0 ** rng.uniform(-6.0, 6.0, size=n)
-        total = _StreamSum(n, leaf)
-        for part in np.split(values, np.sort(rng.integers(0, n + 1, size=rng.integers(0, 40)))):
-            total.add(part)
-        assert total.total() == float(values.sum())
-
-    def test_stream_sum_of_every_small_count(self):
-        rng = np.random.default_rng(5)
-        for n in range(1, 700):
-            values = rng.exponential(size=n) * 10.0 ** rng.uniform(-6.0, 6.0, size=n)
-            total = _StreamSum(n, 128)
-            for part in np.array_split(values, 3):
-                total.add(part)
-            assert total.total() == float(values.sum()), n
 
 
 def test_memory_past_the_kept_packets_is_bounded():
