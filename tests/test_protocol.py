@@ -386,6 +386,22 @@ class TestSeedWords:
         with pytest.raises(ValueError, match="generate_state"):
             holder.generate_state(8, np.uint32)
 
+    def test_closed_form_seeds_are_the_first_draws(self):
+        seeds = np.array(
+            [*self.SEEDS, *np.random.default_rng(17).integers(0, 2**63 - 1, size=10**4)],
+            dtype=np.int64,
+        )
+        states = _seeds.states(seeds)
+        # PCG64's 128-bit steps wrap only uint64 arrays: a numpy scalar that
+        # overflowed would warn, or raise under this error state
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            drawn = _seeds.estimation_seeds(states)
+        assert drawn.dtype == np.int64 and drawn.shape == seeds.shape
+        for seed, row, estimation_seed in zip(seeds.tolist(), states, drawn.tolist()):
+            holder = _seeds.SeedState(seed, row)
+            assert estimation_seed == int(np.random.default_rng(holder).integers(0, 2**63 - 1))
+
     # a weak signal, so that the estimation draws decide the detections, and
     # power-aware SIC, so that the back-off steps decide the decodes
     FRAME_ARGS = dict(
@@ -425,6 +441,46 @@ class TestSeedWords:
             changed += self.frame(used) != self.frame(seed)
         # the other draws' states would change frames, had they been used
         assert changed >= 5
+
+    @staticmethod
+    def row_with_first_word(word, high, initseq):
+        """A state row whose PCG64 generator's first 64-bit word is ``word``:
+        the XSL-RR output state is picked with ``high`` as its high word, and
+        PCG64's seeding is run backwards from it."""
+        mask, modulus = 2**64 - 1, 2**128
+        multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+        rotation = high >> 58
+        rotated = (word << rotation | word >> (64 - rotation)) & mask
+        state = high << 64 | (high ^ rotated)
+        inc = (initseq << 1 | 1) % modulus
+        for _ in range(2):
+            state = (state - inc) * pow(multiplier, -1, modulus) % modulus
+        initstate = (state - inc) % modulus
+        return np.array([initstate >> 64, initstate & mask, initseq >> 64, initseq & mask],
+                        dtype=np.uint64)
+
+    # numpy's integers(0, 2**63 - 1) draws again on exactly these first words
+    @pytest.mark.parametrize("word", [0, 2**63 - 1])
+    def test_redrawn_first_word_falls_back_to_the_drawn_seed(self, word):
+        rng = np.random.default_rng(23)
+        for k in range(4):
+            high, seq_hi, seq_lo = map(int, rng.integers(0, 2**64, size=3, dtype=np.uint64))
+            row = self.row_with_first_word(word, high, seq_hi << 64 | seq_lo)
+            plain = _seeds.SeedState(k, row)
+            assert np.random.PCG64(plain).random_raw() == word
+            closed = _seeds.estimation_seeds(row[None, :])
+            assert int(closed[0]) != int(np.random.default_rng(plain).integers(0, 2**63 - 1))
+            holder = _seeds.SeedState(k, row, _seeds.SeedState(int(closed[0]), _seeds.states(closed)[0]))
+            assert self.frame(holder) == self.frame(plain)
+
+    def test_frame_states_build_no_generator(self, monkeypatch):
+        seeds = np.random.default_rng(19).integers(0, 2**63 - 1, size=_seeds.BLOCK + 3)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("frame_states built a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        assert len(list(_seeds.frame_states(seeds))) == seeds.size
 
 
 class TestRunSession:
