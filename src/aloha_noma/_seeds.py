@@ -24,7 +24,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 # frames whose seed states run_session hashes in one pass; a block's states
 # and estimation seeds take 72 bytes per frame, whatever the session's length,
-# and with the hash's temporaries a block of 512 stays well under 0.1 MB
+# and with the temporaries of the hash and of the first draws a block of 512
+# stays under 0.1 MB
 BLOCK = 512
 
 # numpy's SeedSequence hash (bit_generator.pyx) over a pool of 4 uint32 words
@@ -87,7 +88,7 @@ class SeedState(ISeedSequence):
         return self.state
 
 
-def _times_mult_plus(hi, lo, inc_hi, inc_lo):
+def _pcg_step(hi, lo, inc_hi, inc_lo):
     """One PCG64 step, ``state * M + inc`` mod 2**128, on uint64 word columns.
     The high word of ``lo`` times M's low word comes from 32-bit halves,
     whose products and partial sums each fit in 64 bits."""
@@ -118,8 +119,8 @@ def estimation_seeds(frames: np.ndarray) -> np.ndarray:
     inc_hi, inc_lo = initseq_hi << 1 | initseq_lo >> 63, initseq_lo << 1 | 1
     lo = inc_lo + initstate_lo
     hi = inc_hi + initstate_hi + (lo < inc_lo)
-    hi, lo = _times_mult_plus(hi, lo, inc_hi, inc_lo)
-    hi, lo = _times_mult_plus(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
     # XSL-RR: the two words xor-ed, rotated right by the state's top 6 bits
     rotation, folded = hi >> 58, hi ^ lo
     word = folded >> rotation | folded << (64 - rotation & 63)
